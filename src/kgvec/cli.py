@@ -213,11 +213,6 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
         help=f"context window radius (default: {td.window})",
     )
     p.add_argument("--seed", type=int, default=None, help=f"(default: {td.seed})")
-    p.add_argument("--workers", type=int, default=None, help=f"(default: {td.workers})")
-    p.add_argument(
-        "--deterministic", choices=("true", "false"), default=None,
-        help=f"serialize updates for bitwise-reproducible runs (default: {str(td.deterministic).lower()})",
-    )
     p.add_argument(
         "--subsample", type=float, default=None,
         help=f"frequent-word subsampling rate, 0 disables (default: {td.subsample})",
@@ -283,8 +278,6 @@ def _build_configs(args) -> tuple[ModelConfig, TrainConfig, dict[str, str]]:
         epochs=_resolve(args, cfg, "epochs", int, td.epochs),
         window=_resolve(args, cfg, "window", int, td.window),
         seed=_resolve(args, cfg, "seed", int, td.seed),
-        workers=_resolve(args, cfg, "workers", int, td.workers),
-        deterministic=_resolve(args, cfg, "deterministic", _parse_bool, td.deterministic),
         subsample=_resolve(args, cfg, "subsample", float, td.subsample),
         use_float32=_resolve(args, cfg, "float32", _parse_bool, td.use_float32),
     )

@@ -415,10 +415,10 @@ def _transr_grads(params, head, tail, corrupt_head, corrupt_tail, relation):
 
 @dataclass
 class SkipGramGrads:
-    loss: float
-    center: np.ndarray
-    context: np.ndarray
-    negatives: np.ndarray  # (k, d), aligned with the negative inputs
+    loss: float  # summed over the pairs
+    center: np.ndarray  # shaped like the center input
+    context: np.ndarray  # shaped like the context input
+    negatives: np.ndarray  # (n*k, d), aligned with the negative inputs
 
 
 def skipgram_ns_loss_grad(
@@ -428,24 +428,36 @@ def skipgram_ns_loss_grad(
 ) -> SkipGramGrads:
     """Negative-sampling loss -log s(o.c) - sum_neg log s(-n.c) and gradients.
 
-    ``negatives_out`` is a (k, d) matrix, k >= 1.  Logits are clamped to
-    +-LOGIT_CLAMP before the logistic.
+    One pair passes ``center`` and ``context_out`` as (d,) vectors and
+    ``negatives_out`` as a (k, d) matrix, k >= 1.  A block of n pairs passes
+    (n, d) rows and an (n*k, d) matrix whose rows i*k .. i*k+k-1 are pair i's
+    negatives; the loss is then summed over the pairs.  Logits are clamped
+    to +-LOGIT_CLAMP before the logistic.
     """
     negatives_out = np.atleast_2d(negatives_out)
-    if negatives_out.shape[0] < 1:
-        raise ValueError("at least one negative is required")
+    centers = np.atleast_2d(center)
+    n, d = centers.shape
+    if negatives_out.shape[0] < n or negatives_out.shape[0] % n:
+        raise ValueError("every pair needs the same number (>= 1) of negatives")
+    negs = negatives_out.reshape(n, -1, d)
+    contexts = context_out.reshape(n, d)
 
-    x_pos = np.clip(context_out @ center, -LOGIT_CLAMP, LOGIT_CLAMP)
-    x_neg = np.clip(negatives_out @ center, -LOGIT_CLAMP, LOGIT_CLAMP)
+    x_pos = np.clip(np.einsum("nd,nd->n", contexts, centers), -LOGIT_CLAMP, LOGIT_CLAMP)
+    x_neg = np.clip(np.einsum("nkd,nd->nk", negs, centers), -LOGIT_CLAMP, LOGIT_CLAMP)
     s_pos = 1.0 / (1.0 + np.exp(-x_pos))
     s_neg = 1.0 / (1.0 + np.exp(-x_neg))
 
-    loss = -np.log(s_pos) - np.log1p(-s_neg).sum()
-    g_pos = s_pos - 1.0  # d loss / d x_pos
-    d_context = g_pos * center
-    d_negatives = s_neg[:, None] * center[None, :]
-    d_center = g_pos * context_out + s_neg @ negatives_out
-    return SkipGramGrads(float(loss), d_center, d_context, d_negatives)
+    loss = -np.log(s_pos).sum() - np.log1p(-s_neg).sum()
+    g_pos = (s_pos - 1.0)[:, None]  # d loss / d x_pos
+    d_context = g_pos * centers
+    d_negatives = (s_neg[:, :, None] * centers[:, None, :]).reshape(-1, d)
+    d_center = g_pos * contexts + np.einsum("nk,nkd->nd", s_neg, negs)
+    return SkipGramGrads(
+        float(loss),
+        d_center.reshape(center.shape),
+        d_context.reshape(context_out.shape),
+        d_negatives,
+    )
 
 
 # ---------------------------------------------------------------------------

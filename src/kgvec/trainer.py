@@ -6,15 +6,16 @@ margin ranking loss), otherwise one text update (a (center, context) pair
 against ``negatives`` sampled noise words).  ``alpha = 0`` is plain
 skip-gram, ``alpha = 1`` trains the knowledge model alone.  The learning
 rate decays linearly to a 1e-4 floor over the scheduled step budget.
+Micro-steps run in blocks of ``BLOCK``; see :class:`_Worker`.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
-import threading
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -45,6 +46,8 @@ from .model import (
 from .projection import LowRankProjection
 
 LR_FLOOR = 1e-4
+# Micro-steps per block; see _Worker.
+BLOCK = 256
 
 CHECKPOINT_MAGIC = b"KGVECBIN"
 CHECKPOINT_VERSION = 1
@@ -63,8 +66,6 @@ class TrainConfig:
     epochs: int = 1
     window: int = 5
     seed: int = 1
-    workers: int = 1
-    deterministic: bool = True
     subsample: float = 0.0
     power: float = 0.75
     table_size: int = 1_000_000
@@ -80,8 +81,6 @@ class TrainConfig:
             raise ConfigError("epochs must be >= 1")
         if self.window < 1:
             raise ConfigError("window must be >= 1")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
         if self.corrupt_mode not in ("head", "tail", "uniform-either"):
             raise ConfigError(
                 "corrupt_mode must be head, tail, or uniform-either for "
@@ -193,7 +192,7 @@ def train(
 
     root = np.random.SeedSequence(tc.seed)
     # Child 0 is reserved for init_state so the layout is stable.
-    _, stream_seed, *worker_seeds = root.spawn(2 + max(1, tc.workers))
+    _, stream_seed, worker_seed = root.spawn(3)
 
     state = init_state(
         vocab, triples.relation_names if triples is not None else [], mc, tc
@@ -227,46 +226,23 @@ def train(
 
     steps_per_epoch = n_pairs if n_pairs > 0 else len(triples)
     total_steps = tc.epochs * steps_per_epoch
-    n_workers = 1 if tc.deterministic else max(1, tc.workers)
-
-    workers = [
-        _Worker(
-            worker_id=w,
-            n_workers=n_workers,
-            rng=np.random.default_rng(worker_seeds[w]),
-            state=state,
-            sampler=sampler,
-            centers=centers,
-            contexts=contexts,
-            triples=triples,
-            entity_rows=entity_rows,
-            total_steps=total_steps,
-        )
-        for w in range(n_workers)
-    ]
+    worker = _Worker(
+        rng=np.random.default_rng(worker_seed),
+        state=state,
+        sampler=sampler,
+        centers=centers,
+        contexts=contexts,
+        triples=triples,
+        entity_rows=entity_rows,
+        total_steps=total_steps,
+    )
 
     report = TrainReport(alpha=tc.alpha)
-    done = 0
     for epoch in range(tc.epochs):
         started = time.perf_counter()
-        shares = _split(steps_per_epoch, n_workers)
-        if n_workers == 1:
-            workers[0].run(done, shares[0])
-        else:
-            threads = [
-                threading.Thread(target=wk.run, args=(done, cnt))
-                for wk, cnt in zip(workers, shares)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-        done += steps_per_epoch
-
-        text_steps = sum(w.text_steps for w in workers)
-        kg_steps = sum(w.kg_steps for w in workers)
-        text_loss = sum(w.text_loss for w in workers) / max(text_steps, 1)
-        kg_loss = sum(w.kg_loss for w in workers) / max(kg_steps, 1)
+        worker.run(epoch * steps_per_epoch, steps_per_epoch)
+        text_loss = worker.text_loss / max(worker.text_steps, 1)
+        kg_loss = worker.kg_loss / max(worker.kg_steps, 1)
         combined = (1.0 - tc.alpha) * text_loss + tc.alpha * kg_loss
         report.rows.append(
             EpochStats(
@@ -274,35 +250,28 @@ def train(
                 text_loss,
                 kg_loss,
                 combined,
-                text_steps,
-                kg_steps,
+                worker.text_steps,
+                worker.kg_steps,
                 time.perf_counter() - started,
             )
         )
-        for w in workers:
-            w.reset_epoch()
+        worker.reset_epoch()
         store.check_finite()
         _check_params_finite(state.params)
 
     return state, report
 
 
-def _split(total: int, parts: int) -> list[int]:
-    base, rem = divmod(total, parts)
-    return [base + (1 if i < rem else 0) for i in range(parts)]
-
-
 class _Worker:
-    """One SGD stream over the shared parameter arrays.
+    """The single SGD stream over the parameter arrays.
 
-    With several workers the updates are unsynchronized (lost updates are
-    tolerated); the single-worker path is exactly reproducible.
+    Micro-steps run in blocks of ``BLOCK``.  A block draws its objective
+    coins at once, applies all of its text steps as one batched update taken
+    at the block-start parameters, then its knowledge steps one by one.
     """
 
     def __init__(
         self,
-        worker_id: int,
-        n_workers: int,
         rng: np.random.Generator,
         state: ModelState,
         sampler: NegativeSampler | None,
@@ -320,14 +289,11 @@ class _Worker:
         self.triples = triples
         self.entity_rows = entity_rows
         self.total_steps = total_steps
-        self.worker_id = worker_id
-        self.n_workers = n_workers
         self.alpha = state.train_config.alpha
         self.negatives = state.model_config.negatives
         self.lr0 = state.train_config.initial_lr
         self.corrupt_mode = state.train_config.corrupt_mode
-        n_pairs = len(centers)
-        self.text_cursor = (worker_id * n_pairs) // n_workers if n_pairs else 0
+        self.text_cursor = 0
         self.kg_order = np.empty(0, dtype=np.int64)
         self.kg_cursor = 0
         self.reset_epoch()
@@ -339,41 +305,35 @@ class _Worker:
         self.kg_steps = 0
 
     def run(self, step_base: int, n_steps: int) -> None:
-        rng = self.rng
         alpha = self.alpha
         use_text = alpha < 1.0 and len(self.centers) > 0
         use_kg = alpha > 0.0
-        lr0, total = self.lr0, self.total_steps
-        stride = self.n_workers
-        base = step_base + self.worker_id
-        for i in range(n_steps):
-            frac = (base + i * stride) / total
-            lr = lr0 * max(1.0 - frac, LR_FLOOR)
-            if use_kg and (not use_text or rng.random() < alpha):
-                self._kg_step(lr)
+        for first in range(step_base, step_base + n_steps, BLOCK):
+            steps = np.arange(first, min(first + BLOCK, step_base + n_steps))
+            lr = self.lr0 * np.maximum(1.0 - steps / self.total_steps, LR_FLOOR)
+            if use_text and use_kg:
+                is_kg = self.rng.random(len(steps)) < alpha
             else:
-                self._text_step(lr)
+                is_kg = np.full(len(steps), use_kg)
+            if not is_kg.all():
+                self._text_block(lr[~is_kg], steps[0], steps[-1])
+            for step_lr in lr[is_kg].tolist():
+                self._kg_step(step_lr)
 
-    # -- one text micro-step ------------------------------------------------
-    def _text_step(self, lr: float) -> None:
-        store = self.state.store
-        i = self.text_cursor
-        self.text_cursor = i + 1 if i + 1 < len(self.centers) else 0
-        center = self.centers[i]
-        context = self.contexts[i]
+    # -- the text steps of one block ----------------------------------------
+    def _text_block(self, lr: np.ndarray, first: int, last: int) -> None:
+        n = len(lr)
+        rows = (self.text_cursor + np.arange(n)) % len(self.centers)
+        self.text_cursor = (self.text_cursor + n) % len(self.centers)
         table = self.sampler.table
-        negs = table[self.rng.integers(0, len(table), size=self.negatives)]
-
-        g = skipgram_ns_loss_grad(
-            store.input_vectors[center],
-            store.output_vectors[context],
-            store.output_vectors[negs],
+        negs = table[self.rng.integers(0, len(table), size=n * self.negatives)]
+        loss = _sgd_text_block(
+            self.state.store, self.centers[rows], self.contexts[rows], negs, lr
         )
-        store.output_vectors[context] -= lr * g.context
-        np.subtract.at(store.output_vectors, negs, lr * g.negatives)
-        store.input_vectors[center] -= lr * g.center
-        self.text_loss += g.loss
-        self.text_steps += 1
+        if not np.isfinite(loss):
+            raise NumericError(f"non-finite text loss in steps {first}..{last}")
+        self.text_loss += loss
+        self.text_steps += n
 
     # -- one knowledge micro-step -------------------------------------------
     def _kg_step(self, lr: float) -> None:
@@ -412,6 +372,46 @@ class _Worker:
         store.input_vectors[ctr] -= lr * g.corrupt_tail
         store.relation_vectors[r] -= lr * g.relation
         _apply_param_update(params, g, lr)
+
+
+def _sgd_text_block(
+    store: EmbeddingStore,
+    centers: np.ndarray,
+    contexts: np.ndarray,
+    negatives: np.ndarray,
+    lr: np.ndarray,
+) -> float:
+    """One SGD update from n (center, context) pairs, all taken at the
+    current parameters; returns the summed loss.
+
+    ``negatives`` holds k rows per pair (pair i's are rows i*k .. i*k+k-1)
+    and ``lr`` one rate per pair.  A row that occurs several times in the
+    block receives the sum of its updates.
+    """
+    inp, out = store.input_vectors, store.output_vectors
+    g = skipgram_ns_loss_grad(inp[centers], out[contexts], out[negatives])
+    lr = lr.astype(inp.dtype, copy=False)[:, None]
+    k = len(negatives) // len(centers)
+    _scatter_subtract(
+        out,
+        np.concatenate([contexts, negatives]),
+        np.concatenate([lr * g.context, np.repeat(lr, k, axis=0) * g.negatives]),
+    )
+    _scatter_subtract(inp, centers, lr * g.center)
+    return g.loss
+
+
+def _scatter_subtract(table: np.ndarray, rows: np.ndarray, updates: np.ndarray) -> None:
+    """``table[rows] -= updates``, where a repeated row takes every update.
+
+    ``np.subtract.at`` runs on the flat view of the table, since numpy's
+    fast path for ``ufunc.at`` covers 1-D indices only.
+    """
+    if not table.flags.c_contiguous:
+        raise ValueError("scatter target must be C-contiguous")
+    d = table.shape[1]
+    flat_rows = (rows[:, None] * d + np.arange(d)).reshape(-1)
+    np.subtract.at(table.reshape(-1), flat_rows, updates.reshape(-1))
 
 
 def _apply_param_update(params: RelationParams, g: KnowledgeGrads, lr: float) -> None:
@@ -519,6 +519,32 @@ def save_checkpoint(state: ModelState, path: str | Path) -> None:
             fh.write(np.ascontiguousarray(a).tobytes())
 
 
+# Train-config keys of earlier releases; a header that has them still loads.
+_RETIRED_TRAIN_KEYS = ("workers", "deterministic")
+
+
+def _checked_section(path, what: str, section, keys) -> dict:
+    """``section`` itself if it is a JSON object with exactly ``keys``."""
+    if not isinstance(section, dict):
+        raise CheckpointError(f"{path}: checkpoint {what} is not an object")
+    unknown = sorted(set(section) - set(keys))
+    missing = sorted(set(keys) - set(section))
+    if unknown or missing:
+        raise CheckpointError(
+            f"{path}: checkpoint {what} has unknown keys {unknown}, "
+            f"missing keys {missing}"
+        )
+    return section
+
+
+def _checked_config(path, what: str, cls, section):
+    _checked_section(path, what, section, [f.name for f in fields(cls)])
+    try:
+        return cls(**section)
+    except (ConfigError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: checkpoint {what} rejected: {exc}") from exc
+
+
 def load_checkpoint(path: str | Path) -> ModelState:
     with open(path, "rb") as fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
@@ -539,12 +565,24 @@ def load_checkpoint(path: str | Path) -> ModelState:
             header = json.loads(blob.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CheckpointError(f"{path}: corrupt checkpoint header") from exc
+        _checked_section(
+            path, "header", header, ("model", "train", "vocab", "relations", "arrays")
+        )
+        if not isinstance(header["arrays"], list):
+            raise CheckpointError(f"{path}: checkpoint arrays is not a list")
 
         arrays: dict[str, np.ndarray] = {}
         for spec in header["arrays"]:
-            dtype = np.dtype(spec["dtype"])
-            shape = tuple(spec["shape"])
-            nbytes = dtype.itemsize * int(np.prod(shape)) if shape else dtype.itemsize
+            _checked_section(path, "array entry", spec, ("name", "dtype", "shape"))
+            try:
+                dtype = np.dtype(spec["dtype"])
+                shape = tuple(int(n) for n in spec["shape"])
+            except (TypeError, ValueError) as exc:
+                raise CheckpointError(f"{path}: bad array entry {spec}") from exc
+            bad_name = not isinstance(spec["name"], str)
+            if bad_name or dtype.kind != "f" or min(shape, default=0) < 0:
+                raise CheckpointError(f"{path}: bad array entry {spec}")
+            nbytes = dtype.itemsize * math.prod(shape)
             raw = fh.read(nbytes)
             if len(raw) != nbytes:
                 raise CheckpointError(
@@ -554,17 +592,43 @@ def load_checkpoint(path: str | Path) -> ModelState:
                 np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
             )
 
-    model_config = ModelConfig(**header["model"])
-    train_config = TrainConfig(**header["train"])
-    v = header["vocab"]
-    vocab = Vocabulary(
-        v["tokens"],
-        np.asarray(v["counts"], dtype=np.int64),
-        v["min_count"],
-        frozenset(v["lexicon"]),
+    model_config = _checked_config(path, "model", ModelConfig, header["model"])
+    train = header["train"]
+    if isinstance(train, dict):
+        train = {k: v for k, v in train.items() if k not in _RETIRED_TRAIN_KEYS}
+    train_config = _checked_config(path, "train", TrainConfig, train)
+    v = _checked_section(
+        path, "vocab", header["vocab"], ("tokens", "counts", "min_count", "lexicon")
     )
-    relation_names = list(header["relations"])
+    try:
+        vocab = Vocabulary(
+            v["tokens"],
+            np.asarray(v["counts"], dtype=np.int64),
+            v["min_count"],
+            frozenset(v["lexicon"]),
+        )
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: checkpoint vocab rejected: {exc}") from exc
+    if not isinstance(header["relations"], list):
+        raise CheckpointError(f"{path}: checkpoint relations is not a list")
+    relation_names = header["relations"]
+    try:
+        return _state_from_arrays(
+            model_config, train_config, vocab, relation_names, arrays
+        )
+    except KeyError as exc:
+        raise CheckpointError(f"{path}: checkpoint has no array {exc}") from None
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: checkpoint arrays rejected: {exc}") from exc
 
+
+def _state_from_arrays(
+    model_config: ModelConfig,
+    train_config: TrainConfig,
+    vocab: Vocabulary,
+    relation_names: list[str],
+    arrays: dict[str, np.ndarray],
+) -> ModelState:
     store = EmbeddingStore(arrays["input"], arrays["output"], arrays["relations"])
     params: list[RelationParams] = []
     for i in range(len(relation_names)):

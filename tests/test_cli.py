@@ -1,12 +1,22 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from kgvec.cli import main
 from kgvec.corpus import Vocabulary, build_vocabulary
+from kgvec.errors import CheckpointError
 from kgvec.evaluation import analogy_3cosadd
 from kgvec.model import EmbeddingStore, LowRankRelation, ModelConfig, load_embeddings_text
 from kgvec.projection import identity_projection
-from kgvec.trainer import ModelState, TrainConfig, load_checkpoint, save_checkpoint
+from kgvec.trainer import (
+    CHECKPOINT_MAGIC,
+    ModelState,
+    TrainConfig,
+    load_checkpoint,
+    save_checkpoint,
+)
 
 
 CORPUS = (
@@ -256,6 +266,62 @@ class TestExport:
         tokens, vectors = load_embeddings_text(out)
         assert tokens == state.vocab.tokens
         assert np.allclose(vectors, state.store.input_vectors, atol=1e-5)
+
+
+def rewrite_header(path, edit):
+    """Apply ``edit`` to a checkpoint's JSON header in place."""
+    data = path.read_bytes()
+    start = len(CHECKPOINT_MAGIC) + 8
+    version, size = struct.unpack("<II", data[len(CHECKPOINT_MAGIC) : start])
+    header = json.loads(data[start : start + size])
+    edit(header)
+    blob = json.dumps(header).encode("utf-8")
+    path.write_bytes(
+        CHECKPOINT_MAGIC + struct.pack("<II", version, len(blob)) + blob
+        + data[start + size :]
+    )
+
+
+class TestCheckpointHeaders:
+    @pytest.fixture
+    def checkpoint(self, tmp_path):
+        ck = tmp_path / "model.kgv"
+        save_checkpoint(perfect_analogy_state(), ck)
+        return ck
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(lambda h: h["train"].update(frobnicate=1), id="unknown-train-key"),
+            pytest.param(lambda h: h.pop("arrays"), id="no-arrays"),
+            pytest.param(lambda h: h.pop("vocab"), id="no-vocab"),
+            pytest.param(lambda h: h.pop("relations"), id="no-relations"),
+            pytest.param(lambda h: h["model"].update(frobnicate=1), id="unknown-model-key"),
+            pytest.param(lambda h: h["train"].pop("seed"), id="missing-train-key"),
+            pytest.param(lambda h: h["train"].update(alpha=7.0), id="rejected-alpha"),
+            pytest.param(lambda h: h["model"].update(dim="wide"), id="rejected-dim"),
+            pytest.param(lambda h: h["vocab"].pop("counts"), id="missing-vocab-key"),
+            pytest.param(lambda h: h["arrays"].pop(0), id="missing-array"),
+            pytest.param(lambda h: h["arrays"][0].update(dtype="object"), id="non-float-array"),
+        ],
+    )
+    def test_malformed_header_is_data_error(self, tmp_path, checkpoint, edit, capsys):
+        rewrite_header(checkpoint, edit)
+        with pytest.raises(CheckpointError):
+            load_checkpoint(checkpoint)
+        rc = main(["export", "--checkpoint", str(checkpoint),
+                   "--output", str(tmp_path / "v.txt")])
+        assert rc == 2
+        assert str(checkpoint) in capsys.readouterr().err
+
+    def test_header_with_retired_worker_keys_loads(self, tmp_path, checkpoint):
+        rewrite_header(
+            checkpoint, lambda h: h["train"].update(workers=4, deterministic=False)
+        )
+        assert load_checkpoint(checkpoint).train_config == TrainConfig()
+        out = tmp_path / "v.txt"
+        assert main(["export", "--checkpoint", str(checkpoint), "--output", str(out)]) == 0
+        assert load_embeddings_text(out)[0] == perfect_analogy_state().vocab.tokens
 
 
 class TestUsage:

@@ -225,6 +225,63 @@ class TestSkipGramLoss:
         with pytest.raises(ValueError):
             skipgram_ns_loss_grad(np.zeros(2), np.zeros(2), np.zeros((0, 2)))
 
+    def test_block_needs_the_same_negative_count_per_pair(self):
+        with pytest.raises(ValueError):
+            skipgram_ns_loss_grad(np.zeros((3, 2)), np.zeros((3, 2)), np.zeros((7, 2)))
+
+
+def block_inputs(rng, n, k, d):
+    return (
+        rng.standard_normal((n, d)),
+        rng.standard_normal((n, d)),
+        rng.standard_normal((n * k, d)),
+    )
+
+
+class TestSkipGramBlock:
+    """The (n, d) / (n*k, d) block form of skipgram_ns_loss_grad."""
+
+    def test_matches_per_pair_loop(self):
+        rng = np.random.default_rng(21)
+        for n, k, d in [(1, 1, 3), (7, 5, 16), (256, 5, 32)]:
+            centers, contexts, negs = block_inputs(rng, n, k, d)
+            g = skipgram_ns_loss_grad(centers, contexts, negs)
+            assert g.center.shape == (n, d)
+            assert g.context.shape == (n, d)
+            assert g.negatives.shape == (n * k, d)
+            loss = 0.0
+            for i in range(n):
+                c, o, ns = centers[i], contexts[i], negs[i * k : (i + 1) * k]
+                s_pos = 1.0 / (1.0 + np.exp(-(o @ c)))
+                s_neg = 1.0 / (1.0 + np.exp(-(ns @ c)))
+                loss += -np.log(s_pos) - np.log(1.0 - s_neg).sum()
+                np.testing.assert_allclose(
+                    g.center[i], (s_pos - 1.0) * o + s_neg @ ns, rtol=1e-12
+                )
+                np.testing.assert_allclose(g.context[i], (s_pos - 1.0) * c, rtol=1e-12)
+                np.testing.assert_allclose(
+                    g.negatives[i * k : (i + 1) * k], np.outer(s_neg, c), rtol=1e-12
+                )
+            assert g.loss == pytest.approx(loss, rel=1e-12)
+
+    def test_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(22)
+        n, k, d = 4, 3, 5
+        centers, contexts, negs = block_inputs(rng, n, k, d)
+        g = skipgram_ns_loss_grad(centers, contexts, negs)
+
+        def loss_fn():
+            x_pos = np.sum(contexts * centers, axis=1)
+            x_neg = np.einsum("nkd,nd->nk", negs.reshape(n, k, d), centers)
+            return (
+                np.log1p(np.exp(-x_pos)).sum() + np.log1p(np.exp(x_neg)).sum()
+            )
+
+        assert loss_fn() == pytest.approx(g.loss, rel=1e-12)
+        assert_grad_matches(loss_fn, centers, g.center)
+        assert_grad_matches(loss_fn, contexts, g.context)
+        assert_grad_matches(loss_fn, negs, g.negatives)
+
 
 class TestEmbeddingStore:
     def test_init_shapes_and_ranges(self):

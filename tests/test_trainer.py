@@ -1,12 +1,16 @@
+import re
+
 import numpy as np
 import pytest
 
-from kgvec.corpus import Vocabulary
-from kgvec.errors import CheckpointError, ConfigError
-from kgvec.model import ModelConfig
+from kgvec.corpus import Vocabulary, context_pair_arrays
+from kgvec.errors import CheckpointError, ConfigError, NumericError
+from kgvec.model import EmbeddingStore, ModelConfig, skipgram_ns_loss_grad
 from kgvec.trainer import (
+    BLOCK,
     CHECKPOINT_MAGIC,
     TrainConfig,
+    _sgd_text_block,
     init_state,
     load_checkpoint,
     lr_at,
@@ -140,31 +144,49 @@ class TestDeterminism:
             assert np.array_equal(p1.head_proj.in_factors, p2.head_proj.in_factors)
             assert np.array_equal(p1.tail_proj.out_factors, p2.tail_proj.out_factors)
 
-    def test_deterministic_flag_ignores_worker_count(self, world):
-        tokens, vocab, triples = world
-        mc = small_model("transe")
-        base = TrainConfig(alpha=0.5, epochs=1, seed=3, window=2, workers=1)
-        multi = TrainConfig(
-            alpha=0.5, epochs=1, seed=3, window=2, workers=4, deterministic=True
-        )
-        s1, _ = train(tokens, vocab, triples, mc, base)
-        s2, _ = train(tokens, vocab, triples, mc, multi)
-        assert np.array_equal(s1.store.input_vectors, s2.store.input_vectors)
 
-
-class TestRacyWorkers:
-    def test_threaded_run_trains_and_stays_finite(self, world):
-        tokens, vocab, triples = world
-        mc = small_model("transe")
-        tc = TrainConfig(
-            alpha=0.5, epochs=2, seed=4, window=2, workers=3, deterministic=False
+class TestTextBlock:
+    def test_repeated_rows_receive_the_sum_of_per_pair_updates(self):
+        # Three words, so rows repeat within the block as centers, as
+        # contexts, as negatives, and across those roles.
+        rng = np.random.default_rng(12)
+        d, k = 4, 3
+        store = EmbeddingStore(
+            rng.standard_normal((3, d)), rng.standard_normal((3, d)), np.zeros((0, d))
         )
-        state, report = train(tokens, vocab, triples, mc, tc)
-        state.store.check_finite()
-        assert report.rows[-1].kg_loss < 0.05
-        # every epoch spends exactly the scheduled step budget
-        budgets = {r.text_steps + r.kg_steps for r in report.rows}
-        assert len(budgets) == 1 and budgets.pop() > 0
+        centers = np.array([0, 0, 1, 2, 0, 1])
+        contexts = np.array([1, 1, 2, 0, 1, 0])
+        negatives = rng.integers(0, 3, size=len(centers) * k)
+        lr = np.linspace(0.5, 0.1, len(centers))
+
+        inp, out = store.input_vectors.copy(), store.output_vectors.copy()
+        want_inp, want_out = inp.copy(), out.copy()
+        want_loss = 0.0
+        for i, (c, o) in enumerate(zip(centers, contexts)):
+            negs = negatives[i * k : (i + 1) * k]
+            g = skipgram_ns_loss_grad(inp[c], out[o], out[negs])
+            want_loss += g.loss
+            want_inp[c] -= lr[i] * g.center
+            want_out[o] -= lr[i] * g.context
+            for j, row in enumerate(negs):
+                want_out[row] -= lr[i] * g.negatives[j]
+
+        loss = _sgd_text_block(store, centers, contexts, negatives, lr)
+        assert loss == pytest.approx(want_loss, rel=1e-12)
+        np.testing.assert_allclose(store.input_vectors, want_inp, rtol=1e-12)
+        np.testing.assert_allclose(store.output_vectors, want_out, rtol=1e-12)
+
+    def test_non_finite_text_loss_names_its_block(self, world):
+        tokens, vocab, triples = world
+        n_pairs = len(context_pair_arrays(vocab.encode(tokens), 2)[0])
+        tc = TrainConfig(alpha=0.0, epochs=3, seed=1, window=2, initial_lr=1e200)
+        with np.errstate(all="ignore"), pytest.raises(NumericError) as exc:
+            train(tokens, vocab, triples, small_model(), tc)
+        match = re.search(r"text loss in steps (\d+)\.\.(\d+)", str(exc.value))
+        assert match, str(exc.value)
+        first, last = int(match[1]), int(match[2])
+        assert first % BLOCK == 0 and last - first == BLOCK - 1
+        assert last < n_pairs  # caught inside epoch 1, not at its end
 
 
 class TestMixingRatio:
