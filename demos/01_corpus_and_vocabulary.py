@@ -8,9 +8,9 @@ from kgvec import (
     build_negative_table,
     build_vocabulary,
     merge_phrases,
-    stream_context_pairs,
     tokenize,
 )
+from kgvec.corpus import context_pair_arrays
 
 text = (
     "John F Kennedy was born in 1917. "
@@ -50,5 +50,6 @@ rng = np.random.default_rng(0)
 print("\n10 negative draws:", [vocab.tokens[i] for i in sampler.draw(rng, 10)])
 
 print("\nfirst 8 skip-gram pairs (window 2, out-of-vocab removed first):")
-for pair in list(stream_context_pairs(merged, vocab, window=2))[:8]:
-    print(f"  center={vocab.tokens[pair.center]:16s} context={vocab.tokens[pair.context]}")
+centers, contexts = context_pair_arrays(vocab.encode(merged), window=2)
+for center, context in zip(centers[:8], contexts[:8]):
+    print(f"  center={vocab.tokens[center]:16s} context={vocab.tokens[context]}")

@@ -8,14 +8,12 @@ translation residual.  See README.md for the full tour.
 """
 
 from .corpus import (
-    ContextPair,
     NegativeSampler,
     Vocabulary,
     build_negative_table,
     build_vocabulary,
     load_phrase_lexicon,
     merge_phrases,
-    stream_context_pairs,
     tokenize,
 )
 from .evaluation import (
@@ -64,7 +62,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalogyQuestion",
-    "ContextPair",
     "EmbeddingStore",
     "EvalReport",
     "LowRankProjection",
@@ -99,7 +96,6 @@ __all__ = [
     "score_triple",
     "skipgram_ns_loss_grad",
     "spearman_rho",
-    "stream_context_pairs",
     "tokenize",
     "train",
     "transh_as_lowrank",

@@ -221,6 +221,10 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
         "--float32", choices=("true", "false"), default=None,
         help=f"train in 32-bit floats (default: {str(td.use_float32).lower()})",
     )
+    # A config file may set any of these flags but --config, by its name
+    # without the dashes; parsing no arguments lists them all.
+    keys = {dest.replace("_", "-") for dest in vars(p.parse_args([]))} - {"config"}
+    p.set_defaults(config_keys=frozenset(keys))
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -256,6 +260,9 @@ def _parse_bool(text: str) -> bool:
 
 def _build_configs(args) -> tuple[ModelConfig, TrainConfig, dict[str, str]]:
     cfg = _read_config_file(args.config) if args.config else {}
+    unknown = sorted(set(cfg) - args.config_keys)
+    if unknown:
+        raise ConfigError(f"{args.config}: unknown config keys {unknown}")
     md, td = _MODEL_DEFAULTS, _TRAIN_DEFAULTS
     dim = _resolve(args, cfg, "dim", int, md.dim)
     # Rank defaults keep the reference d=100 proportions (50/100 and 90/100)

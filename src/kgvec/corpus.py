@@ -10,7 +10,7 @@ import string
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -291,53 +291,12 @@ def build_negative_table(
     return NegativeSampler(probs, table)
 
 
-@dataclass(frozen=True)
-class ContextPair:
-    """One (center, context) skip-gram training example.
-
-    ``position`` is the center's offset in the in-vocabulary token stream;
-    the context sits within ``window`` positions of it.
-    """
-
-    center: int
-    context: int
-    position: int
-
-
-def stream_context_pairs(
-    tokens: Sequence[str],
-    vocab: Vocabulary,
-    window: int,
-    rng: np.random.Generator | None = None,
-    subsample: float = 0.0,
-) -> Iterator[ContextPair]:
-    """Yield (center, context) pairs from a sliding window of radius ``window``.
-
-    Out-of-vocabulary tokens are removed first, so the window spans the
-    compacted stream.  ``subsample`` optionally drops frequent words with the
-    classic 1 - sqrt(rate/frequency) probability before windowing; it is off
-    by default and requires ``rng`` when enabled.
-    """
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    ids = vocab.encode(tokens)
-    ids = _subsample_ids(ids, vocab, subsample, rng)
-    n = len(ids)
-    for k in range(n):
-        lo = max(0, k - window)
-        hi = min(n - 1, k + window)
-        for j in range(lo, hi + 1):
-            if j != k:
-                yield ContextPair(int(ids[k]), int(ids[j]), k)
-
-
 def context_pair_arrays(
     ids: np.ndarray, window: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized equivalent of :func:`stream_context_pairs` on encoded ids.
-
-    Returns (centers, contexts) in the same position-major order the
-    generator uses.  This is the form the trainer consumes.
+    """(center, context) pairs from a sliding window of radius ``window``
+    over encoded ids, in position-major order: for each center position,
+    its contexts from left to right.  This is the form the trainer consumes.
     """
     n = len(ids)
     pos_chunks = []

@@ -201,8 +201,9 @@ class RelationalAnalogy:
         self.vocab = state.vocab
         self.vectors = state.store.input_vectors
         self.relation_vectors = state.store.relation_vectors
-        self.head_maps = [_head_matrix(state, r) for r in range(len(state.params))]
-        self.tail_maps = [_tail_matrix(state, r) for r in range(len(state.params))]
+        maps = [_relation_maps(state, r) for r in range(len(state.params))]
+        self.head_maps = [head for head, _ in maps]
+        self.tail_maps = [tail for _, tail in maps]
         self._projected: dict[int, np.ndarray] = {}
 
     def _projected_tails(self, r: int) -> np.ndarray:
@@ -235,20 +236,15 @@ def _sq(v: np.ndarray) -> float:
     return float(v @ v)
 
 
-def _head_matrix(state: ModelState, r: int) -> np.ndarray:
+def _relation_maps(state: ModelState, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Dense head and tail maps of relation ``r``; TransH uses one
+    hyperplane projector for both."""
     p = state.params[r]
     if state.model_config.variant == "lowrank":
-        return p.head_proj.materialize()
+        return p.head_proj.materialize(), p.tail_proj.materialize()
     w = p.normal
-    return np.eye(len(w)) - np.outer(w, w)
-
-
-def _tail_matrix(state: ModelState, r: int) -> np.ndarray:
-    p = state.params[r]
-    if state.model_config.variant == "lowrank":
-        return p.tail_proj.materialize()
-    w = p.normal
-    return np.eye(len(w)) - np.outer(w, w)
+    plane = np.eye(len(w)) - np.outer(w, w)
+    return plane, plane
 
 
 def make_analogy_predictor(

@@ -20,9 +20,9 @@ test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -108,16 +108,51 @@ class EmbeddingStore:
 # ---------------------------------------------------------------------------
 # Per-relation parameters
 # ---------------------------------------------------------------------------
+#
+# Each bundle shows its arrays through one ordered view, ``arrays()``, keyed
+# by the names they carry in a checkpoint; ``from_arrays`` builds a bundle
+# from such a view.  Knowledge gradients are tuples in view order, so the SGD
+# update, the finite check and checkpoint I/O are loops over the view.
+
+
+class _RelationArrays:
+    """The view for bundles whose fields are the arrays themselves."""
+
+    def arrays(self) -> dict[str, np.ndarray]:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    @classmethod
+    def from_arrays(cls, arrays: Mapping[str, np.ndarray]):
+        return cls(**arrays)
+
+    def renormalize(self) -> None:
+        """Restore the bundle's constraint after an update (none here)."""
 
 
 @dataclass
-class LowRankRelation:
+class LowRankRelation(_RelationArrays):
     head_proj: LowRankProjection
     tail_proj: LowRankProjection
 
+    def arrays(self) -> dict[str, np.ndarray]:
+        out = {}
+        for side, proj in (("head", self.head_proj), ("tail", self.tail_proj)):
+            out[f"{side}.weights"] = proj.weights
+            out[f"{side}.out"] = proj.out_factors
+            out[f"{side}.in"] = proj.in_factors
+        return out
+
+    @classmethod
+    def from_arrays(cls, arrays: Mapping[str, np.ndarray]) -> "LowRankRelation":
+        head, tail = (
+            LowRankProjection(arrays[f"{s}.weights"], arrays[f"{s}.out"], arrays[f"{s}.in"])
+            for s in ("head", "tail")
+        )
+        return cls(head, tail)
+
 
 @dataclass
-class TransHRelation:
+class TransHRelation(_RelationArrays):
     normal: np.ndarray  # unit-length hyperplane normal
 
     def renormalize(self) -> None:
@@ -125,17 +160,59 @@ class TransHRelation:
 
 
 @dataclass
-class SERelation:
+class SERelation(_RelationArrays):
     head_matrix: np.ndarray  # (d, d)
     tail_matrix: np.ndarray  # (d, d)
 
 
 @dataclass
-class TransRRelation:
+class TransRRelation(_RelationArrays):
     matrix: np.ndarray  # (d, d)
 
 
 RelationParams = LowRankRelation | TransHRelation | SERelation | TransRRelation | None
+
+# Bundle class of each variant that has one; transe and sg have none.
+_RELATION_TYPES = {
+    "lowrank": LowRankRelation,
+    "transh": TransHRelation,
+    "se": SERelation,
+    "transr": TransRRelation,
+}
+
+
+def relation_array_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Shape of each array in one relation's view, in view order."""
+    d, mh, mt = config.dim, config.head_rank, config.tail_rank
+    return {
+        "lowrank": {
+            "head.weights": (mh,),
+            "head.out": (mh, d),
+            "head.in": (mh, d),
+            "tail.weights": (mt,),
+            "tail.out": (mt, d),
+            "tail.in": (mt, d),
+        },
+        "transh": {"normal": (d,)},
+        "se": {"head_matrix": (d, d), "tail_matrix": (d, d)},
+        "transr": {"matrix": (d, d)},
+    }.get(config.variant, {})
+
+
+def relation_params_from_arrays(
+    config: ModelConfig,
+    n_relations: int,
+    array: Callable[[int, str], np.ndarray],
+) -> list[RelationParams]:
+    """The bundles ``init_relation_params`` would shape, with relation i's
+    arrays taken from ``array(i, name)``."""
+    if config.variant == "sg":
+        return []
+    kind = _RELATION_TYPES.get(config.variant)
+    if kind is None:  # transe
+        return [None] * n_relations
+    names = relation_array_shapes(config)
+    return [kind.from_arrays({n: array(i, n) for n in names}) for i in range(n_relations)]
 
 
 def init_relation_params(
@@ -212,43 +289,20 @@ class KnowledgeGrads:
     """Gradients of the hinge loss w.r.t. every participating parameter.
 
     Slot gradients are reported separately even when golden and corrupted
-    triples share an embedding row; callers accumulate.  ``params`` mirrors
-    the relation's parameter structure (None for transe/inactive hinge).
+    triples share an embedding row; callers accumulate.  ``params`` holds the
+    relation's parameter gradients in the order of its ``arrays()`` view
+    (None for transe).  An inactive hinge has no gradient: every array field
+    is None.
     """
 
     loss: float
     active: bool
-    head: np.ndarray
-    tail: np.ndarray
-    corrupt_head: np.ndarray
-    corrupt_tail: np.ndarray
-    relation: np.ndarray
-    params: RelationParams = None
-
-
-def _zero_grads(config: ModelConfig, params: RelationParams, d: int) -> KnowledgeGrads:
-    z = np.zeros(d)
-    pgrad: RelationParams = None
-    if config.variant == "lowrank":
-        pgrad = LowRankRelation(
-            LowRankProjection(
-                np.zeros_like(params.head_proj.weights),
-                np.zeros_like(params.head_proj.out_factors),
-                np.zeros_like(params.head_proj.in_factors),
-            ),
-            LowRankProjection(
-                np.zeros_like(params.tail_proj.weights),
-                np.zeros_like(params.tail_proj.out_factors),
-                np.zeros_like(params.tail_proj.in_factors),
-            ),
-        )
-    elif config.variant == "transh":
-        pgrad = TransHRelation(np.zeros(d))
-    elif config.variant == "se":
-        pgrad = SERelation(np.zeros((d, d)), np.zeros((d, d)))
-    elif config.variant == "transr":
-        pgrad = TransRRelation(np.zeros((d, d)))
-    return KnowledgeGrads(0.0, False, z, z.copy(), z.copy(), z.copy(), z.copy(), pgrad)
+    head: np.ndarray | None
+    tail: np.ndarray | None
+    corrupt_head: np.ndarray | None
+    corrupt_tail: np.ndarray | None
+    relation: np.ndarray | None
+    params: tuple[np.ndarray, ...] | None = None
 
 
 def knowledge_loss_grad(
@@ -265,7 +319,7 @@ def knowledge_loss_grad(
 
     The corrupted triple shares the relation (entity corruption), so the
     relation vector and relation parameters collect contributions from both
-    scores.  When the hinge is inactive everything is zero.
+    scores.  An inactive hinge returns no gradients at all.
     """
     gamma = config.margin if margin is None else margin
     if gamma <= 0:
@@ -274,7 +328,7 @@ def knowledge_loss_grad(
     f_corrupt = score_triple(config, params, corrupt_head, relation, corrupt_tail)
     loss = gamma + f_golden - f_corrupt
     if loss <= 0.0:
-        return _zero_grads(config, params, len(head))
+        return KnowledgeGrads(0.0, False, None, None, None, None, None)
     if not np.isfinite(loss):
         raise NumericError("non-finite knowledge loss")
 
@@ -330,10 +384,6 @@ def _lowrank_grads(params, head, tail, corrupt_head, corrupt_tail, relation):
         oe_g[:, None] * tail[None, :] - oe_c[:, None] * corrupt_tail[None, :]
     )
 
-    pgrad = LowRankRelation(
-        LowRankProjection(d_lw, d_lout, d_lin),
-        LowRankProjection(d_rw, d_rout, d_rin),
-    )
     return KnowledgeGrads(
         0.0,
         True,
@@ -342,7 +392,7 @@ def _lowrank_grads(params, head, tail, corrupt_head, corrupt_tail, relation):
         -2 * lp.apply_transpose(e_c),
         2 * rp.apply_transpose(e_c),
         2 * (e_g - e_c),
-        pgrad,
+        (d_lw, d_lout, d_lin, d_rw, d_rout, d_rin),
     )
 
 
@@ -367,7 +417,7 @@ def _transh_grads(params, head, tail, corrupt_head, corrupt_tail, relation):
         -2 * project(e_c),
         2 * project(e_c),
         2 * (e_g - e_c),
-        TransHRelation(d_w),
+        (d_w,),
     )
 
 
@@ -383,7 +433,7 @@ def _se_grads(params, head, tail, corrupt_head, corrupt_tail):
         -(L.T @ s_c),
         R.T @ s_c,
         np.zeros_like(head),
-        SERelation(
+        (
             np.outer(s_g, head) - np.outer(s_c, corrupt_head),
             -(np.outer(s_g, tail) - np.outer(s_c, corrupt_tail)),
         ),
@@ -404,7 +454,7 @@ def _transr_grads(params, head, tail, corrupt_head, corrupt_tail, relation):
         -2 * (M.T @ e_c),
         2 * (M.T @ e_c),
         2 * (e_g - e_c),
-        TransRRelation(2.0 * (np.outer(e_g, z_g) - np.outer(e_c, z_c))),
+        (2.0 * (np.outer(e_g, z_g) - np.outer(e_c, z_c)),),
     )
 
 
@@ -477,21 +527,3 @@ def save_embeddings_text(
         fh.write(f"{n} {d}\n")
         for tok, row in zip(tokens, vectors):
             fh.write(tok + " " + " ".join(f"{x:.6g}" for x in row) + "\n")
-
-
-def load_embeddings_text(path: str | Path) -> tuple[list[str], np.ndarray]:
-    """Inverse of :func:`save_embeddings_text` (up to the 6-digit rounding)."""
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise ValueError(f"{path}: malformed embedding header")
-        n, d = int(header[0]), int(header[1])
-        tokens: list[str] = []
-        vectors = np.empty((n, d))
-        for i in range(n):
-            parts = fh.readline().split()
-            if len(parts) != d + 1:
-                raise ValueError(f"{path}: malformed embedding line {i + 2}")
-            tokens.append(parts[0])
-            vectors[i] = [float(x) for x in parts[1:]]
-    return tokens, vectors

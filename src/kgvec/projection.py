@@ -108,11 +108,3 @@ def transh_as_lowrank(
     left = LowRankProjection(np.ones(m), basis.copy(), basis.copy())
     right = LowRankProjection(np.ones(m), basis.copy(), basis.copy())
     return left, right
-
-
-def numerical_rank(matrix: np.ndarray, rel_tol: float = 1e-8) -> int:
-    """Number of singular values above rel_tol * sigma_max."""
-    sigma = np.linalg.svd(matrix, compute_uv=False)
-    if len(sigma) == 0 or sigma[0] == 0.0:
-        return 0
-    return int(np.sum(sigma > rel_tol * sigma[0]))

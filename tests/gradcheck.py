@@ -2,14 +2,7 @@
 
 import numpy as np
 
-from kgvec.model import (
-    LowRankRelation,
-    ModelConfig,
-    SERelation,
-    TransHRelation,
-    TransRRelation,
-    init_relation_params,
-)
+from kgvec.model import ModelConfig, init_relation_params
 
 FD_STEP = 1e-5
 REL_TOL = 1e-4
@@ -39,36 +32,16 @@ def assert_grad_matches(loss_fn, array, grad, tol=REL_TOL, step=FD_STEP):
 
 
 def param_grad_pairs(params, grads):
-    """Flatten (parameter array, gradient array) pairs for any variant."""
+    """(parameter array, gradient array) pairs over the relation's view."""
     if params is None:
         return []
-    if isinstance(params, LowRankRelation):
-        pairs = []
-        for proj, g in (
-            (params.head_proj, grads.head_proj),
-            (params.tail_proj, grads.tail_proj),
-        ):
-            pairs += [
-                (proj.weights, g.weights),
-                (proj.out_factors, g.out_factors),
-                (proj.in_factors, g.in_factors),
-            ]
-        return pairs
-    if isinstance(params, TransHRelation):
-        return [(params.normal, grads.normal)]
-    if isinstance(params, SERelation):
-        return [
-            (params.head_matrix, grads.head_matrix),
-            (params.tail_matrix, grads.tail_matrix),
-        ]
-    if isinstance(params, TransRRelation):
-        return [(params.matrix, grads.matrix)]
-    raise TypeError(type(params))
+    return list(zip(params.arrays().values(), grads))
 
 
 def random_relation_params(variant, d, rng):
     """Generic-position parameters (denser than the training init) so the
-    finite-difference probe sits away from kinks."""
+    finite-difference probe sits away from kinks.  Every array of the view
+    is redrawn; a TransH normal is then renormalised to unit length."""
     cfg = ModelConfig(
         variant=variant,
         dim=d,
@@ -76,15 +49,8 @@ def random_relation_params(variant, d, rng):
         tail_rank=max(1, d - 1),
     )
     params = init_relation_params(cfg, 1, rng)[0]
-    if isinstance(params, LowRankRelation):
-        for proj in (params.head_proj, params.tail_proj):
-            m = proj.rank_bound
-            proj.weights[:] = rng.standard_normal(m)
-            proj.out_factors[:] = rng.standard_normal((m, d))
-            proj.in_factors[:] = rng.standard_normal((m, d))
-    elif isinstance(params, SERelation):
-        params.head_matrix[:] = rng.standard_normal((d, d))
-        params.tail_matrix[:] = rng.standard_normal((d, d))
-    elif isinstance(params, TransRRelation):
-        params.matrix[:] = rng.standard_normal((d, d))
+    if params is not None:
+        for array in params.arrays().values():
+            array[:] = rng.standard_normal(array.shape)
+        params.renormalize()
     return cfg, params

@@ -8,8 +8,14 @@ from kgvec.cli import main
 from kgvec.corpus import Vocabulary, build_vocabulary
 from kgvec.errors import CheckpointError
 from kgvec.evaluation import analogy_3cosadd
-from kgvec.model import EmbeddingStore, LowRankRelation, ModelConfig, load_embeddings_text
-from kgvec.projection import identity_projection
+from kgvec.model import (
+    EmbeddingStore,
+    LowRankRelation,
+    ModelConfig,
+    SERelation,
+    TransRRelation,
+)
+from kgvec.projection import LowRankProjection, identity_projection
 from kgvec.trainer import (
     CHECKPOINT_MAGIC,
     ModelState,
@@ -17,6 +23,7 @@ from kgvec.trainer import (
     load_checkpoint,
     save_checkpoint,
 )
+from oracles import load_embeddings_text
 
 
 CORPUS = (
@@ -160,6 +167,41 @@ class TestTrain:
         assert state.model_config.dim == 8  # flag beats file
         assert state.train_config.alpha == 0.5  # file beats default
 
+    @pytest.mark.parametrize("line", ["epohcs=3", "workers=4"])
+    def test_unknown_config_key_is_usage_error(self, tmp_path, corpus_file,
+                                               triples_file, line, capsys):
+        cfg = write(tmp_path / "run.cfg", f"dim=8\n{line}\nmin-count=1\n")
+        ck = tmp_path / "model.kgv"
+        rc = main(["train", "--config", cfg, "--corpus", corpus_file,
+                   "--triples", triples_file, "--checkpoint", str(ck)])
+        assert rc == 1
+        assert repr(line.split("=")[0]) in capsys.readouterr().err
+        assert not ck.exists()
+
+    def test_config_file_may_set_every_train_flag(self, tmp_path, corpus_file,
+                                                  triples_file, capsys):
+        vocab = tmp_path / "vocab.tsv"
+        assert main(["build-vocab", "--corpus", corpus_file, "--min-count", "1",
+                     "--output", str(vocab)]) == 0
+        lexicon = write(tmp_path / "lexicon.txt", "paris\n")
+        cfg = write(
+            tmp_path / "run.cfg",
+            f"corpus={corpus_file}\ntriples={triples_file}\nvocab={vocab}\n"
+            f"lexicon={lexicon}\nmin-count=1\nvariant=lowrank\ndim=8\n"
+            "head-rank=2\ntail-rank=4\nnegatives=2\nmargin=0.5\nalpha=0.3\n"
+            "lr=0.02\nepochs=2\nwindow=3\nseed=4\nsubsample=0\nfloat32=true\n",
+        )
+        ck = tmp_path / "model.kgv"
+        rc = main(["train", "--config", cfg, "--checkpoint", str(ck),
+                   "--report", str(tmp_path / "r.tsv")])
+        assert rc == 0
+        state = load_checkpoint(ck)
+        assert state.model_config == ModelConfig("lowrank", 8, 2, 4, 2, 0.5)
+        assert state.train_config == TrainConfig(
+            alpha=0.3, initial_lr=0.02, epochs=2, window=3, seed=4,
+            subsample=0.0, use_float32=True,
+        )
+
     def test_alpha_validation_is_usage_error(self, tmp_path, corpus_file,
                                              triples_file, capsys):
         rc = main(["train", "--corpus", corpus_file, "--triples", triples_file,
@@ -189,6 +231,18 @@ def perfect_analogy_state():
     store = EmbeddingStore(vectors, np.zeros_like(vectors), np.array([[0.0, 1.0]]))
     params = [LowRankRelation(identity_projection(d), identity_projection(d))]
     cfg = ModelConfig(variant="lowrank", dim=d, head_rank=d, tail_rank=d)
+    return ModelState(cfg, TrainConfig(), vocab, ["maps"], store, params)
+
+
+def shaped_state(variant, params, relation_rows=1):
+    """A 5-token, one-relation state at d=4 that keeps ``params`` as given,
+    whatever their shapes."""
+    d = 4
+    tokens = ["x1", "y1", "x2", "y2", "other"]
+    vocab = Vocabulary(tokens, np.ones(len(tokens), dtype=np.int64))
+    vectors = np.random.default_rng(0).standard_normal((len(tokens), d))
+    store = EmbeddingStore(vectors, np.zeros_like(vectors), np.zeros((relation_rows, d)))
+    cfg = ModelConfig(variant=variant, dim=d, head_rank=2, tail_rank=2)
     return ModelState(cfg, TrainConfig(), vocab, ["maps"], store, params)
 
 
@@ -313,6 +367,85 @@ class TestCheckpointHeaders:
                    "--output", str(tmp_path / "v.txt")])
         assert rc == 2
         assert str(checkpoint) in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "state",
+        [
+            pytest.param(
+                lambda: shaped_state("se", [SERelation(np.eye(5), np.eye(4))]),
+                id="se-5x5-head-matrix-at-d4",
+            ),
+            pytest.param(
+                lambda: shaped_state(
+                    "lowrank",
+                    [LowRankRelation(
+                        LowRankProjection(np.ones(2), np.ones((2, 6)), np.ones((2, 6))),
+                        LowRankProjection(np.ones(2), np.ones((2, 4)), np.ones((2, 4))),
+                    )],
+                ),
+                id="lowrank-2x6-head-factors-at-d4",
+            ),
+            pytest.param(
+                lambda: shaped_state("transr", [TransRRelation(np.eye(4))], 3),
+                id="transr-3-relation-rows-for-1",
+            ),
+        ],
+    )
+    def test_array_shape_off_the_header_is_data_error(self, tmp_path, state, capsys):
+        ck = tmp_path / "model.kgv"
+        save_checkpoint(state(), ck)
+        with pytest.raises(CheckpointError, match="shape"):
+            load_checkpoint(ck)
+        questions = write(tmp_path / "q.txt", "x1 y1 x2 y2\n")
+        rc = main(["eval-analogy", "--checkpoint", str(ck), "--questions", questions])
+        assert rc == 2
+        assert str(ck) in capsys.readouterr().err
+
+    def test_trailing_byte_is_data_error(self, tmp_path, checkpoint, capsys):
+        with open(checkpoint, "ab") as fh:
+            fh.write(b"\0")
+        with pytest.raises(CheckpointError, match="trailing"):
+            load_checkpoint(checkpoint)
+        rc = main(["export", "--checkpoint", str(checkpoint),
+                   "--output", str(tmp_path / "v.txt")])
+        assert rc == 2
+
+    def test_failed_save_keeps_the_previous_checkpoint(
+        self, tmp_path, checkpoint, monkeypatch
+    ):
+        before = checkpoint.read_bytes()
+
+        class FailingWriter:
+            """A file whose third write fails, as on a full disk."""
+
+            def __init__(self, fh):
+                self.fh, self.writes = fh, 0
+
+            def __getattr__(self, name):
+                return getattr(self.fh, name)
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes == 3:
+                    raise OSError("disk full")
+                return self.fh.write(data)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+        monkeypatch.setattr(
+            "kgvec.trainer.open", lambda *a: FailingWriter(open(*a)), raising=False
+        )
+        state = perfect_analogy_state()
+        state.store.input_vectors += 1.0
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(state, checkpoint)
+        monkeypatch.undo()
+        assert checkpoint.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == [checkpoint.name]
 
     def test_header_with_retired_worker_keys_loads(self, tmp_path, checkpoint):
         rewrite_header(

@@ -4,6 +4,7 @@ import pytest
 from gradcheck import assert_grad_matches, param_grad_pairs, random_relation_params
 from kgvec.errors import NumericError
 from kgvec.model import (
+    VARIANTS,
     EmbeddingStore,
     LowRankRelation,
     ModelConfig,
@@ -12,12 +13,14 @@ from kgvec.model import (
     TransRRelation,
     init_relation_params,
     knowledge_loss_grad,
-    load_embeddings_text,
+    relation_array_shapes,
+    relation_params_from_arrays,
     save_embeddings_text,
     score_triple,
     skipgram_ns_loss_grad,
 )
 from kgvec.projection import LowRankProjection, identity_projection
+from oracles import load_embeddings_text
 
 
 class TestModelConfig:
@@ -122,8 +125,18 @@ class TestKnowledgeLossGrad:
         g = knowledge_loss_grad(cfg, None, h, t, ch, t, r)
         assert g.loss == 0.0
         assert not g.active
-        for arr in (g.head, g.tail, g.corrupt_head, g.corrupt_tail, g.relation):
-            assert np.all(arr == 0.0)
+        for arr in (g.head, g.tail, g.corrupt_head, g.corrupt_tail, g.relation, g.params):
+            assert arr is None
+
+    @pytest.mark.parametrize("variant", ["lowrank", "transe", "transh", "se", "transr"])
+    def test_inactive_hinge_returns_no_gradient(self, variant):
+        d = 4
+        rng = np.random.default_rng(3)
+        cfg, params = random_relation_params(variant, d, rng)
+        z = np.zeros(d)
+        far = 100.0 * rng.standard_normal(d)  # corrupted score far above margin
+        g = knowledge_loss_grad(cfg, params, z, z, far, z, z)
+        assert (g.loss, g.active, g.params) == (0.0, False, None)
 
     def test_hand_hinge_value(self):
         # margin 1, f_golden = 1.0, f_corrupt = 1.2 -> loss 0.8
@@ -303,6 +316,43 @@ class TestEmbeddingStore:
         store.input_vectors[1, 2] = np.inf
         with pytest.raises(NumericError):
             store.check_finite()
+
+
+class TestRelationArrays:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_view_matches_declared_shapes(self, variant):
+        cfg = ModelConfig(variant=variant, dim=6, head_rank=2, tail_rank=3)
+        shapes = relation_array_shapes(cfg)
+        for p in init_relation_params(cfg, 2, np.random.default_rng(0)):
+            view = {} if p is None else p.arrays()
+            assert [(n, a.shape) for n, a in view.items()] == list(shapes.items())
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_rebuilt_bundles_share_the_arrays(self, variant):
+        cfg = ModelConfig(variant=variant, dim=6, head_rank=2, tail_rank=3)
+        params = init_relation_params(cfg, 3, np.random.default_rng(0))
+        rebuilt = relation_params_from_arrays(
+            cfg, 3, lambda i, name: params[i].arrays()[name]
+        )
+        assert [type(p) for p in rebuilt] == [type(p) for p in params]
+        for p, q in zip(params, rebuilt):
+            if p is not None:
+                for a, b in zip(p.arrays().values(), q.arrays().values()):
+                    assert a is b
+
+    @pytest.mark.parametrize("variant", ["lowrank", "transe", "transh", "se", "transr"])
+    def test_gradients_come_in_view_order(self, variant):
+        rng = np.random.default_rng(7)
+        cfg, params = random_relation_params(variant, 5, rng)
+        h, t, ch, ct, r = (rng.standard_normal(5) for _ in range(5))
+        g = knowledge_loss_grad(cfg, params, h, t, ch, ct, r, margin=1e6)
+        assert g.active
+        if params is None:
+            assert g.params is None
+        else:
+            assert [a.shape for a in g.params] == [
+                a.shape for a in params.arrays().values()
+            ]
 
 
 class TestInitRelationParams:

@@ -5,11 +5,18 @@ import pytest
 
 from kgvec.corpus import Vocabulary, context_pair_arrays
 from kgvec.errors import CheckpointError, ConfigError, NumericError
-from kgvec.model import EmbeddingStore, ModelConfig, skipgram_ns_loss_grad
+from kgvec.model import (
+    VARIANTS,
+    EmbeddingStore,
+    ModelConfig,
+    init_relation_params,
+    skipgram_ns_loss_grad,
+)
 from kgvec.trainer import (
     BLOCK,
     CHECKPOINT_MAGIC,
     TrainConfig,
+    _check_params_finite,
     _sgd_text_block,
     init_state,
     load_checkpoint,
@@ -202,24 +209,34 @@ class TestMixingRatio:
         assert abs(text / n - (1 - alpha)) <= 3 * sigma
 
 
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 class TestCheckpoint:
-    def test_round_trip_bitwise(self, world, tmp_path):
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_round_trip_bitwise(self, world, tmp_path, variant):
         tokens, vocab, triples = world
-        mc = small_model()
-        tc = TrainConfig(alpha=0.5, epochs=1, seed=8, window=2)
+        mc = small_model(variant)
+        alpha = 0.0 if variant == "sg" else 0.5
+        tc = TrainConfig(alpha=alpha, epochs=1, seed=8, window=2)
         state, _ = train(tokens, vocab, triples, mc, tc)
         path = tmp_path / "model.kgv"
         save_checkpoint(state, path)
         loaded = load_checkpoint(path)
-        assert np.array_equal(loaded.store.input_vectors, state.store.input_vectors)
-        assert np.array_equal(loaded.store.output_vectors, state.store.output_vectors)
-        assert np.array_equal(
-            loaded.store.relation_vectors, state.store.relation_vectors
-        )
+        assert same_bits(loaded.store.input_vectors, state.store.input_vectors)
+        assert same_bits(loaded.store.output_vectors, state.store.output_vectors)
+        assert same_bits(loaded.store.relation_vectors, state.store.relation_vectors)
+        assert len(loaded.params) == len(state.params)
         for p1, p2 in zip(loaded.params, state.params):
-            assert np.array_equal(p1.head_proj.weights, p2.head_proj.weights)
-            assert np.array_equal(p1.head_proj.out_factors, p2.head_proj.out_factors)
-            assert np.array_equal(p1.tail_proj.in_factors, p2.tail_proj.in_factors)
+            assert type(p1) is type(p2)
+            if p2 is not None:
+                v1, v2 = p1.arrays(), p2.arrays()
+                assert list(v1) == list(v2)
+                assert all(same_bits(v1[name], v2[name]) for name in v2)
+        again = tmp_path / "again.kgv"
+        save_checkpoint(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
         assert loaded.vocab.tokens == state.vocab.tokens
         assert loaded.vocab.index == state.vocab.index
         assert loaded.relation_names == state.relation_names
@@ -267,6 +284,34 @@ class TestCheckpoint:
         bad.write_bytes(bytes(data))
         with pytest.raises(CheckpointError):
             load_checkpoint(bad)
+
+
+class TestRelationUpdate:
+    def test_transh_normals_stay_unit_length(self, world):
+        _, vocab, triples = world
+        tc = TrainConfig(alpha=1.0, epochs=2, seed=3)
+        state, report = train(None, vocab, triples, small_model("transh"), tc)
+        assert report.rows[-1].kg_steps > 0
+        for p in state.params:
+            assert abs(np.linalg.norm(p.normal) - 1.0) < 1e-12
+
+
+class TestFiniteCheck:
+    @pytest.mark.parametrize("variant", ["lowrank", "transh", "se", "transr"])
+    def test_names_the_relation_and_the_array(self, variant):
+        cfg = small_model(variant)
+        params = init_relation_params(cfg, 2, np.random.default_rng(0))
+        _check_params_finite(params)
+        name, array = list(params[1].arrays().items())[-1]
+        array.reshape(-1)[0] = np.nan
+        with pytest.raises(NumericError, match=re.escape(f"relation 1 ({name})")):
+            _check_params_finite(params)
+
+    def test_lowrank_head_factor(self):
+        params = init_relation_params(small_model(), 1, np.random.default_rng(0))
+        params[0].head_proj.out_factors[0, 0] = np.inf
+        with pytest.raises(NumericError, match=re.escape("relation 0 (head.out)")):
+            _check_params_finite(params)
 
 
 class TestKnowledgeOnlySchedule:
