@@ -12,6 +12,7 @@ from pathlib import Path
 
 from . import evaluation
 from .corpus import (
+    PhraseIndex,
     Vocabulary,
     build_vocabulary,
     load_phrase_lexicon,
@@ -307,21 +308,21 @@ def _load_inputs(args, cfg, train_config):
         raise ConfigError("--triples is required when alpha > 0")
 
     lexicon = load_phrase_lexicon(lexicon_path) if lexicon_path else []
-    if vocab_path:
-        vocab = Vocabulary.load(vocab_path)
-        if not lexicon:
-            lexicon = [tuple(t.split("_")) for t in sorted(vocab.phrase_lexicon)]
-    elif corpus_path:
-        with open(corpus_path, encoding="utf-8") as fh:
-            vocab = build_vocabulary(fh, min_count, lexicon)
-    else:
+    if not (vocab_path or corpus_path):
         raise ConfigError("need --vocab or --corpus to define the vocabulary")
+    vocab = Vocabulary.load(vocab_path) if vocab_path else None
+    if vocab is not None and not lexicon:
+        lexicon = [tuple(t.split("_")) for t in sorted(vocab.phrase_lexicon)]
+    index = PhraseIndex(lexicon)
+    if vocab is None:
+        with open(corpus_path, encoding="utf-8") as fh:
+            vocab = build_vocabulary(fh, min_count, index)
 
     tokens: list[str] = []
     if corpus_path:
         with open(corpus_path, encoding="utf-8") as fh:
             for line in fh:
-                tokens.extend(merge_phrases(tokenize(line), lexicon))
+                tokens.extend(merge_phrases(tokenize(line), index))
 
     triples = load_triples(triples_path, vocab) if triples_path else None
     return tokens, vocab, triples

@@ -50,8 +50,38 @@ def normalize_token(token: str) -> str:
     return token.lower().strip(_TOKEN_PUNCT)
 
 
+class PhraseIndex:
+    """A phrase lexicon indexed by first word, longest entries first.
+
+    Build it once per lexicon and pass it to :func:`merge_phrases` for
+    every line.  ``len()`` is the number of entries.
+    """
+
+    def __init__(self, entries: Iterable[Sequence[str]]):
+        self.entries: list[tuple[str, ...]] = []
+        self.by_first: dict[str, list[tuple[str, ...]]] = {}
+        for entry in entries:
+            words = tuple(entry)
+            if not 1 <= len(words) <= MAX_PHRASE_WORDS:
+                raise ValueError(
+                    f"phrase lexicon entry must have 1..{MAX_PHRASE_WORDS} words, "
+                    f"got {len(words)}: {words!r}"
+                )
+            self.entries.append(words)
+            self.by_first.setdefault(words[0], []).append(words)
+        for candidates in self.by_first.values():
+            candidates.sort(key=len, reverse=True)
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+
+def _phrase_index(lexicon: PhraseIndex | Iterable[Sequence[str]]) -> PhraseIndex:
+    return lexicon if isinstance(lexicon, PhraseIndex) else PhraseIndex(lexicon)
+
+
 def merge_phrases(
-    tokens: Sequence[str], phrase_lexicon: Iterable[Sequence[str]]
+    tokens: Sequence[str], phrase_lexicon: PhraseIndex | Iterable[Sequence[str]]
 ) -> list[str]:
     """Replace lexicon phrases in a token sequence with single merged tokens.
 
@@ -59,21 +89,12 @@ def merge_phrases(
     longest lexicon entry starting there wins and the scan resumes after it.
     Tokens not covered by any entry pass through unchanged.  Merging an
     already-merged sequence is a no-op because merged tokens contain
-    ``PHRASE_SEP``, which no base token can.
+    ``PHRASE_SEP``, which no base token can.  A plain list of entries is
+    indexed on every call; pass a :class:`PhraseIndex` to merge many lines.
     """
-    by_first: dict[str, list[tuple[str, ...]]] = {}
-    for entry in phrase_lexicon:
-        words = tuple(entry)
-        if not 1 <= len(words) <= MAX_PHRASE_WORDS:
-            raise ValueError(
-                f"phrase lexicon entry must have 1..{MAX_PHRASE_WORDS} words, "
-                f"got {len(words)}: {words!r}"
-            )
-        by_first.setdefault(words[0], []).append(words)
+    by_first = _phrase_index(phrase_lexicon).by_first
     if not by_first:
         return list(tokens)
-    for entries in by_first.values():
-        entries.sort(key=len, reverse=True)
 
     toks = list(tokens)
     out: list[str] = []
@@ -203,7 +224,7 @@ class Vocabulary:
 def build_vocabulary(
     text: Iterable[str] | str,
     min_count: int = 5,
-    phrase_lexicon: Sequence[Sequence[str]] = (),
+    phrase_lexicon: PhraseIndex | Iterable[Sequence[str]] = (),
 ) -> Vocabulary:
     """Count phrase-merged tokens and build the Vocabulary.
 
@@ -219,17 +240,17 @@ def build_vocabulary(
     if min_count < 1:
         raise ValueError("min_count must be >= 1")
     lines = text.splitlines() if isinstance(text, str) else text
-    entries = [tuple(e) for e in phrase_lexicon]
+    index = _phrase_index(phrase_lexicon)
     counter: Counter[str] = Counter()
     total = 0
     for line in lines:
-        toks = merge_phrases(tokenize(line), entries)
+        toks = merge_phrases(tokenize(line), index)
         counter.update(toks)
         total += len(toks)
     if total == 0:
         raise EmptyCorpusError("corpus produced no tokens")
 
-    lexicon_tokens = {PHRASE_SEP.join(words) for words in entries}
+    lexicon_tokens = {PHRASE_SEP.join(words) for words in index.entries}
     kept: dict[str, int] = {}
     for tok, cnt in counter.items():
         if tok in lexicon_tokens:

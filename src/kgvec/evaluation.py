@@ -170,15 +170,24 @@ def load_similarity_pairs(path: str | Path) -> list[SimilarityPair]:
 
 
 def analogy_3cosadd(
-    a: str, b: str, c: str, vocab: Vocabulary, vectors: np.ndarray
+    a: str,
+    b: str,
+    c: str,
+    vocab: Vocabulary,
+    vectors: np.ndarray,
+    row_norms: np.ndarray | None = None,
 ) -> str:
     """argmax over the vocabulary (minus a, b, c) of cosine(b - a + c, w).
 
-    Ties break toward the lowest token index.
+    ``row_norms``, if given, must be ``np.linalg.norm(vectors, axis=1)``;
+    passing it saves a pass over the whole table per question.  Ties break
+    toward the lowest token index.
     """
     ia, ib, ic = vocab.index[a], vocab.index[b], vocab.index[c]
     target = vectors[ib] - vectors[ia] + vectors[ic]
-    norms = np.linalg.norm(vectors, axis=1) * max(np.linalg.norm(target), _EPS)
+    if row_norms is None:
+        row_norms = np.linalg.norm(vectors, axis=1)
+    norms = row_norms * max(np.linalg.norm(target), _EPS)
     sims = (vectors @ target) / np.maximum(norms, _EPS)
     sims[[ia, ib, ic]] = -np.inf
     return vocab.tokens[int(np.argmax(sims))]
@@ -188,8 +197,12 @@ class RelationalAnalogy:
     """Two-step predictor: pick r* minimizing the (a, b) triple score, then
     rank every candidate w by the (c, r*, w) score.
 
-    Projected candidate matrices are cached per relation, so repeated calls
-    share the heavy part.  Only variants in RELATIONAL_VARIANTS qualify;
+    Each relation's projected candidates ``P`` and their squared row norms
+    are computed on first use and cached, so a question costs one
+    matrix-vector product: ``|P_w - t|^2 = |P_w|^2 - 2 P_w . t + |t|^2``.
+    That sum can round differently from a direct difference scan, so the
+    two may pick different answers only among candidates whose scores tie
+    within rounding.  Only variants in RELATIONAL_VARIANTS qualify;
     construct via :func:`make_analogy_predictor` to get the fallback logic.
     """
 
@@ -204,11 +217,13 @@ class RelationalAnalogy:
         maps = [_relation_maps(state, r) for r in range(len(state.params))]
         self.head_maps = [head for head, _ in maps]
         self.tail_maps = [tail for _, tail in maps]
-        self._projected: dict[int, np.ndarray] = {}
+        self._projected: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-    def _projected_tails(self, r: int) -> np.ndarray:
+    def _projected_tails(self, r: int) -> tuple[np.ndarray, np.ndarray]:
+        """Relation ``r``'s projected candidates and their squared norms."""
         if r not in self._projected:
-            self._projected[r] = self.vectors @ self.tail_maps[r].T
+            tails = self.vectors @ self.tail_maps[r].T
+            self._projected[r] = (tails, np.einsum("ij,ij->i", tails, tails))
         return self._projected[r]
 
     def best_relation(self, a: str, b: str) -> int:
@@ -226,8 +241,8 @@ class RelationalAnalogy:
         vc = self.vectors[ic]
         r_star = self.best_relation(a, b)
         target = self.head_maps[r_star] @ vc + self.relation_vectors[r_star]
-        diffs = self._projected_tails(r_star) - target
-        scores = np.einsum("ij,ij->i", diffs, diffs)
+        tails, sq_norms = self._projected_tails(r_star)
+        scores = sq_norms - 2.0 * (tails @ target) + _sq(target)
         scores[[ia, ib, ic]] = np.inf
         return self.vocab.tokens[int(np.argmin(scores))]
 
@@ -261,9 +276,10 @@ def make_analogy_predictor(
     ):
         return RelationalAnalogy(state)
     vocab, vectors = state.vocab, state.store.input_vectors
+    row_norms = np.linalg.norm(vectors, axis=1)
 
     def predict(a: str, b: str, c: str) -> str:
-        return analogy_3cosadd(a, b, c, vocab, vectors)
+        return analogy_3cosadd(a, b, c, vocab, vectors, row_norms)
 
     return predict
 

@@ -505,11 +505,24 @@ def save_checkpoint(state: ModelState, path: str | Path) -> None:
             fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(blob)))
             fh.write(blob)
             for _, a in arrays:
-                fh.write(np.ascontiguousarray(a).tobytes())
+                fh.write(_raw_bytes(np.ascontiguousarray(a)))
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def _raw_bytes(a: np.ndarray) -> np.ndarray:
+    """A flat byte view of C-contiguous ``a``, for writing or reading its
+    buffer in place; unlike ``memoryview(a).cast("B")`` it works at size 0."""
+    return a.reshape(-1).view(np.uint8)
+
+
+def _all_finite(a: np.ndarray) -> bool:
+    # A sum of squares is finite exactly when every entry is, unless finite
+    # entries overflow it; then the exact check decides.  One dot product
+    # costs far less than ``np.isfinite`` on the whole array.
+    return math.isfinite(np.vdot(a, a)) or bool(np.isfinite(a).all())
 
 
 # Train-config keys of earlier releases; a header that has them still loads.
@@ -542,7 +555,8 @@ def load_checkpoint(path: str | Path) -> ModelState:
     """Inverse of :func:`save_checkpoint`.
 
     Every array must have the name and shape the header's configuration,
-    vocabulary and relations imply, and no bytes may follow the last one.
+    vocabulary and relations imply and hold only finite values, and no
+    bytes may follow the last one.
     """
     with open(path, "rb") as fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
@@ -609,11 +623,15 @@ def load_checkpoint(path: str | Path) -> ModelState:
                     f"{path}: checkpoint array {name!r} has shape {shape}, "
                     f"the header implies {expected[name]}"
                 )
-            nbytes = dtype.itemsize * math.prod(shape)
-            raw = fh.read(nbytes)
-            if len(raw) != nbytes:
+            a = np.empty(shape, dtype=dtype)
+            if fh.readinto(_raw_bytes(a)) != a.nbytes:
                 raise CheckpointError(f"{path}: truncated checkpoint (array {name})")
-            arrays[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+            # Checked while its bytes are still in cache.
+            if not _all_finite(a):
+                raise CheckpointError(
+                    f"{path}: checkpoint array {name!r} holds NaN or inf"
+                )
+            arrays[name] = a
         missing = [name for name in expected if name not in arrays]
         if missing:
             raise CheckpointError(f"{path}: checkpoint has no array {missing[0]!r}")

@@ -128,6 +128,20 @@ class TestTrain:
         assert state.params == []
         assert state.train_config.alpha == 0.0
 
+    def test_sg_checkpoint_round_trips(self, tmp_path, corpus_file, capsys):
+        ck = tmp_path / "model.kgv"
+        assert main(["train", "--corpus", corpus_file, "--variant", "sg",
+                     "--min-count", "1", "--dim", "8", "--checkpoint", str(ck),
+                     "--report", str(tmp_path / "rep.tsv")]) == 0
+        state = load_checkpoint(ck)
+        assert state.store.relation_vectors.shape == (0, 8)
+        again = tmp_path / "again.kgv"
+        save_checkpoint(state, again)
+        assert again.read_bytes() == ck.read_bytes()
+        out = tmp_path / "v.txt"
+        assert main(["export", "--checkpoint", str(ck), "--output", str(out)]) == 0
+        assert load_embeddings_text(out)[0] == state.vocab.tokens
+
     def test_deterministic_repeat_runs_are_bitwise_identical(
         self, tmp_path, corpus_file, triples_file
     ):
@@ -446,6 +460,50 @@ class TestCheckpointHeaders:
         monkeypatch.undo()
         assert checkpoint.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == [checkpoint.name]
+
+    @pytest.mark.parametrize(
+        "command",
+        [["eval-analogy", "--mode", "relational"], ["eval-analogy", "--mode", "3cosadd"],
+         ["export"]],
+        ids=["eval-relational", "eval-3cosadd", "export"],
+    )
+    def test_non_finite_array_is_data_error(self, tmp_path, command, capsys):
+        state = perfect_analogy_state()
+        state.store.input_vectors[0] = np.nan
+        state.params[0].head_proj.out_factors[0, 0] = np.inf
+        ck = tmp_path / "model.kgv"
+        save_checkpoint(state, ck)
+        questions = write(tmp_path / "q.txt", "x1 y1 x2 y2\n")
+        extra = ["--questions", questions] if command[0] == "eval-analogy" else [
+            "--output", str(tmp_path / "v.txt")]
+        rc = main([command[0], "--checkpoint", str(ck), *command[1:], *extra])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(ck) in err and "'input'" in err
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("input", np.nan), ("output", -np.inf), ("relations", np.inf),
+         ("rel0.head.out", np.inf), ("rel0.tail.in", np.nan)],
+    )
+    def test_first_non_finite_array_is_named(self, tmp_path, name, value):
+        state = perfect_analogy_state()
+        arrays = {"input": state.store.input_vectors, "output": state.store.output_vectors,
+                  "relations": state.store.relation_vectors}
+        arrays.update({f"rel0.{k}": a for k, a in state.params[0].arrays().items()})
+        arrays[name].flat[-1] = value
+        ck = tmp_path / "model.kgv"
+        save_checkpoint(state, ck)
+        with pytest.raises(CheckpointError, match=f"array '{name}' holds NaN or inf"):
+            load_checkpoint(ck)
+
+    def test_huge_finite_values_load(self, tmp_path):
+        # Their squares overflow, which the cheap screen alone would reject.
+        state = perfect_analogy_state()
+        state.store.output_vectors[:] = 1e300
+        ck = tmp_path / "model.kgv"
+        save_checkpoint(state, ck)
+        assert (load_checkpoint(ck).store.output_vectors == 1e300).all()
 
     def test_header_with_retired_worker_keys_loads(self, tmp_path, checkpoint):
         rewrite_header(

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from kgvec.corpus import (
+    PhraseIndex,
     Vocabulary,
     build_negative_table,
     build_vocabulary,
@@ -69,6 +70,41 @@ class TestMergePhrases:
         with pytest.raises(ValueError):
             merge_phrases(["a"], [tuple("abcdefghi")])
 
+    @pytest.mark.parametrize("entry", [(), tuple("abcdefghi")], ids=["0-words", "9-words"])
+    def test_index_rejects_entry_length(self, entry):
+        with pytest.raises(ValueError, match="1..8 words"):
+            PhraseIndex([("a", "b"), entry])
+        with pytest.raises(ValueError, match="1..8 words"):
+            merge_phrases(["a"], [entry])
+
+    def test_index_length_counts_entries(self):
+        assert len(PhraseIndex([])) == 0
+        assert len(PhraseIndex([("a", "b"), ("a",), ("c", "d", "e")])) == 3
+
+    def test_prebuilt_index_matches_plain_list_and_brute_force(self):
+        # Overlapping ("a b" / "b c") and nested ("a" / "a b" / "a b c")
+        # entries, one index reused across every stream.
+        rng = np.random.default_rng(11)
+        words = list("abcde")
+        lex = [("a", "b"), ("b", "c"), ("a",), ("a", "b", "c"), ("c", "d", "e", "a"),
+               ("e", "e"), ("d",)]
+        index = PhraseIndex(lex)
+
+        def brute(toks):
+            out, i = [], 0
+            while i < len(toks):
+                hits = [e for e in lex if tuple(toks[i : i + len(e)]) == e]
+                longest = max(hits, key=len, default=(toks[i],))
+                out.append("_".join(longest))
+                i += len(longest)
+            return out
+
+        for _ in range(200):
+            toks = [words[i] for i in rng.integers(0, len(words), size=int(rng.integers(0, 25)))]
+            want = brute(toks)
+            assert merge_phrases(toks, index) == want
+            assert merge_phrases(toks, lex) == want
+
 
 class TestBuildVocabulary:
     def test_min_count_boundary(self):
@@ -123,6 +159,16 @@ class TestBuildVocabulary:
     def test_accepts_line_iterables(self):
         vocab = build_vocabulary(iter(["a a\n", "a b\n"]), min_count=1)
         assert vocab.counts[vocab.index["a"]] == 3
+
+
+    def test_prebuilt_index_gives_the_same_vocabulary(self):
+        text = "new york is new and old york is old new york\n" * 3
+        lex = [("new", "york"), ("old",), ("old", "york")]
+        plain = build_vocabulary(text, min_count=2, phrase_lexicon=lex)
+        indexed = build_vocabulary(text, min_count=2, phrase_lexicon=PhraseIndex(lex))
+        assert indexed.tokens == plain.tokens
+        assert indexed.counts.tolist() == plain.counts.tolist()
+        assert indexed.phrase_lexicon == plain.phrase_lexicon
 
 
 class TestVocabularyFile:

@@ -105,6 +105,71 @@ class TestAnalogy3CosAdd:
             )
 
 
+    def test_cached_predictor_matches_uncached_function(self):
+        rng = np.random.default_rng(3)
+        words = [f"w{i:02d}" for i in range(30)]
+        vocab = make_vocab(words)
+        for _ in range(10):
+            vectors = rng.standard_normal((30, 6))
+            vectors[7] = 0.0  # a zero row, whose norm is floored
+            state = make_state(vocab, vectors, np.zeros((0, 6)), [], "sg")
+            predict = make_analogy_predictor(state, "3cosadd")
+            for _ in range(20):
+                a, b, c = (words[i] for i in rng.choice(30, size=3, replace=False))
+                assert predict(a, b, c) == analogy_3cosadd(a, b, c, vocab, vectors)
+
+    def test_cached_predictor_breaks_ties_toward_lowest_index(self):
+        # w3, w5 and w6 are the target itself; then w3 moves away, and the
+        # tie between w5 and w6 remains
+        vocab = make_vocab([f"w{i}" for i in range(7)])
+        vectors = np.array(
+            [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [-1.0, 1.0, 1.0],
+             [0.0, -1.0, 0.0], [-1.0, 1.0, 1.0], [-1.0, 1.0, 1.0]]
+        )
+        for winner, w3 in (("w3", [-1.0, 1.0, 1.0]), ("w5", [0.0, 0.0, -1.0])):
+            vectors[3] = w3
+            state = make_state(vocab, vectors.copy(), np.zeros((0, 3)), [], "sg")
+            predict = make_analogy_predictor(state, "3cosadd")
+            assert predict("w0", "w1", "w2") == winner
+            assert analogy_3cosadd("w0", "w1", "w2", vocab, vectors) == winner
+
+
+def direct_relational_scan(state, a, b, c):
+    """The two-step answer by a plain difference scan over every candidate,
+    and every candidate's score."""
+    index, vectors = state.vocab.index, state.store.input_vectors
+    ia, ib, ic = index[a], index[b], index[c]
+    maps = []
+    for p in state.params:
+        if state.model_config.variant == "lowrank":
+            maps.append((p.head_proj.materialize(), p.tail_proj.materialize()))
+        else:
+            plane = np.eye(len(p.normal)) - np.outer(p.normal, p.normal)
+            maps.append((plane, plane))
+    fits = []
+    for (head, tail), rel in zip(maps, state.store.relation_vectors):
+        e = head @ vectors[ia] + rel - tail @ vectors[ib]
+        fits.append(e @ e)
+    r = int(np.argmin(fits))
+    head, tail = maps[r]
+    target = head @ vectors[ic] + state.store.relation_vectors[r]
+    scores = np.array([np.sum((tail @ v - target) ** 2) for v in vectors])
+    scores[[ia, ib, ic]] = np.inf
+    return state.vocab.tokens[int(np.argmin(scores))], scores
+
+
+def assert_matches_direct_scan(state, questions):
+    """The cached predictor must give the direct scan's answer, or one whose
+    direct score ties the best within rounding (1e-9 relative)."""
+    predictor = RelationalAnalogy(state)
+    index = state.vocab.index
+    for a, b, c in questions:
+        want, scores = direct_relational_scan(state, a, b, c)
+        got = predictor(a, b, c)
+        best = scores[index[want]]
+        assert got == want or abs(scores[index[got]] - best) <= 1e-9 * max(1.0, best)
+
+
 class TestRelationalAnalogy:
     def test_translation_construction(self):
         # identity projections, r = b - a, d placed at c + r
@@ -191,6 +256,58 @@ class TestRelationalAnalogy:
             ]
             want = words[int(np.argmin(scores))]
             assert predictor(words[a], words[b], words[c]) == want
+
+    @pytest.mark.parametrize("variant", ["lowrank", "transh"])
+    def test_cached_scores_match_direct_scan_on_random_states(self, variant):
+        rng = np.random.default_rng(21)
+        n_words, n_rel, d = 60, 4, 6
+        words = [f"w{i:02d}" for i in range(n_words)]
+        for _ in range(4):
+            vectors = 3.0 * rng.standard_normal((n_words, d))
+            if variant == "lowrank":
+                params = [
+                    LowRankRelation(
+                        LowRankProjection(rng.standard_normal(2), rng.standard_normal((2, d)),
+                                          rng.standard_normal((2, d))),
+                        LowRankProjection(rng.standard_normal(4), rng.standard_normal((4, d)),
+                                          rng.standard_normal((4, d))),
+                    )
+                    for _ in range(n_rel)
+                ]
+            else:
+                normals = rng.standard_normal((n_rel, d))
+                params = [TransHRelation(w / np.linalg.norm(w)) for w in normals]
+            state = make_state(make_vocab(words), vectors, rng.standard_normal((n_rel, d)),
+                               params, variant)
+            questions = [
+                tuple(words[i] for i in rng.choice(n_words, size=3, replace=False))
+                for _ in range(25)
+            ]
+            assert_matches_direct_scan(state, questions)
+
+    def test_cached_scores_match_direct_scan_on_exact_fits(self):
+        eye = identity_projection(2)
+        translation = make_state(
+            make_vocab(["a", "b", "c", "d", "x"]),
+            np.array([[0.0, 0.0], [1.0, 0.5], [2.0, -1.0], [3.0, -0.5], [-4.0, 4.0]]),
+            np.array([[1.0, 0.5]]),
+            [LowRankRelation(eye.copy(), eye.copy())],
+        )
+        two_relations = make_state(
+            make_vocab(["a", "b", "c", "d"]),
+            np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]),
+            np.array([[50.0, 50.0], [0.0, 1.0]]),
+            [LowRankRelation(eye.copy(), eye.copy()), LowRankRelation(eye.copy(), eye.copy())],
+        )
+        for state in (translation, two_relations):
+            tokens = state.vocab.tokens
+            questions = [
+                (a, b, c) for a in tokens for b in tokens for c in tokens
+                if len({a, b, c}) == 3
+            ]
+            assert_matches_direct_scan(state, questions)
+        assert RelationalAnalogy(translation)("a", "b", "c") == "d"
+        assert RelationalAnalogy(two_relations)("a", "b", "c") == "d"
 
     def test_fallback_to_3cosadd_for_plain_variants(self):
         vocab = make_vocab(["a", "b", "c", "d"])
