@@ -4,10 +4,17 @@ scoring variants, and the TransH-as-special-case conversion."""
 
 import numpy as np
 
-from kgvec import ModelConfig, init_projection, score_triple, transh_as_lowrank
+from kgvec import (
+    LowRankProjection,
+    ModelConfig,
+    init_projection,
+    score_triple,
+    transh_as_lowrank,
+)
 from kgvec.model import (
     LowRankRelation,
     SERelation,
+    TransERelation,
     TransHRelation,
     TransRRelation,
 )
@@ -40,7 +47,7 @@ variants = {
     "lowrank": LowRankRelation(
         init_projection(d, 3, rng), init_projection(d, 5, rng)
     ),
-    "transe": None,
+    "transe": TransERelation(),
     "transh": TransHRelation(w),
     "se": SERelation(M, M.T.copy()),
     "transr": TransRRelation(M),
@@ -63,12 +70,11 @@ print("same triple under the converted rank-(d-1) projections:", f_l)
 print("difference:", abs(f_h - f_l))
 
 # And identity projections recover the plain translation model exactly.
-from kgvec.projection import identity_projection
-
-eye_params = LowRankRelation(identity_projection(d), identity_projection(d))
+eye = LowRankProjection(np.ones(d), np.eye(d), np.eye(d))
+eye_params = LowRankRelation(eye, eye)
 cfg_full = ModelConfig(variant="lowrank", dim=d, head_rank=d, tail_rank=d)
 cfg_plain = ModelConfig(variant="transe", dim=d)
 print("\nidentity projections vs plain translation:",
       score_triple(cfg_full, eye_params, h, r, t),
       "==",
-      score_triple(cfg_plain, None, h, r, t))
+      score_triple(cfg_plain, TransERelation(), h, r, t))

@@ -53,7 +53,6 @@ from .trainer import (
     TrainConfig,
     TrainReport,
     load_checkpoint,
-    lr_at,
     save_checkpoint,
     train,
 )
@@ -86,7 +85,6 @@ __all__ = [
     "load_phrase_lexicon",
     "load_similarity_pairs",
     "load_triples",
-    "lr_at",
     "make_analogy_predictor",
     "merge_phrases",
     "rank_sweep",

@@ -22,10 +22,6 @@ from .trainer import ModelState, TrainConfig, train
 
 _EPS = 1e-12
 
-# Variants whose relation parameters support the two-step mode; everything
-# else falls back to 3CosAdd.
-RELATIONAL_VARIANTS = ("lowrank", "transh")
-
 
 @dataclass(frozen=True)
 class AnalogyQuestion:
@@ -202,19 +198,20 @@ class RelationalAnalogy:
     matrix-vector product: ``|P_w - t|^2 = |P_w|^2 - 2 P_w . t + |t|^2``.
     That sum can round differently from a direct difference scan, so the
     two may pick different answers only among candidates whose scores tie
-    within rounding.  Only variants in RELATIONAL_VARIANTS qualify;
-    construct via :func:`make_analogy_predictor` to get the fallback logic.
+    within rounding.  Only states whose relation bundles have dense head and
+    tail maps qualify; construct via :func:`make_analogy_predictor` to get
+    the fallback logic.
     """
 
     def __init__(self, state: ModelState):
-        if state.model_config.variant not in RELATIONAL_VARIANTS or not state.params:
+        if not _has_dense_maps(state):
             raise ValueError(
                 f"variant {state.model_config.variant!r} has no relational mode"
             )
         self.vocab = state.vocab
         self.vectors = state.store.input_vectors
         self.relation_vectors = state.store.relation_vectors
-        maps = [_relation_maps(state, r) for r in range(len(state.params))]
+        maps = [p.dense_maps() for p in state.params]
         self.head_maps = [head for head, _ in maps]
         self.tail_maps = [tail for _, tail in maps]
         self._projected: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -251,15 +248,10 @@ def _sq(v: np.ndarray) -> float:
     return float(v @ v)
 
 
-def _relation_maps(state: ModelState, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """Dense head and tail maps of relation ``r``; TransH uses one
-    hyperplane projector for both."""
-    p = state.params[r]
-    if state.model_config.variant == "lowrank":
-        return p.head_proj.materialize(), p.tail_proj.materialize()
-    w = p.normal
-    plane = np.eye(len(w)) - np.outer(w, w)
-    return plane, plane
+def _has_dense_maps(state: ModelState) -> bool:
+    """Whether the state's relation bundles score ||A h + r - B t||^2 through
+    dense maps A and B, which the two-step mode needs."""
+    return bool(state.params) and hasattr(state.params[0], "dense_maps")
 
 
 def make_analogy_predictor(
@@ -269,11 +261,7 @@ def make_analogy_predictor(
     variant without usable relation parameters degrades to 3CosAdd."""
     if mode not in ("relational", "3cosadd"):
         raise ValueError(f"unknown analogy mode {mode!r}")
-    if (
-        mode == "relational"
-        and state.model_config.variant in RELATIONAL_VARIANTS
-        and state.params
-    ):
+    if mode == "relational" and _has_dense_maps(state):
         return RelationalAnalogy(state)
     vocab, vectors = state.vocab, state.store.input_vectors
     row_norms = np.linalg.norm(vectors, axis=1)

@@ -14,7 +14,7 @@ from .errors import CorruptionExhaustedError, EmptyKGError, ParseError
 if TYPE_CHECKING:
     from .corpus import Vocabulary
 
-CORRUPT_MODES = ("head", "tail", "uniform-either", "relation")
+CORRUPT_MODES = ("head", "tail", "uniform-either")
 
 
 @dataclass
@@ -184,40 +184,30 @@ def corrupt_triple(
     rng: np.random.Generator | None = None,
     max_attempts: int = 100,
 ) -> tuple[int, int, int]:
-    """Produce a negative triple by replacing exactly one slot of ``triple``.
+    """Produce a negative triple by replacing its head or its tail.
 
-    The replacement is drawn uniformly over all entities (or relations for
-    mode="relation", an option the trainer never uses by default).  Draws
-    that reproduce the input or hit a known-true triple are rejected and
-    retried up to ``max_attempts`` times.
+    The replacement is drawn uniformly over all entities.  Draws that
+    reproduce the input or hit a known-true triple are rejected and retried
+    up to ``max_attempts`` times.
     """
     if mode not in CORRUPT_MODES:
         raise ValueError(f"mode must be one of {CORRUPT_MODES}, got {mode!r}")
     if rng is None:
         raise ValueError("corrupt_triple requires an rng")
     n_ent = triple_set.n_entities
-    if mode != "relation" and n_ent < 2:
+    if n_ent < 2:
         raise ValueError("need at least 2 entities to corrupt")
-    if mode == "relation" and triple_set.n_relations < 2:
-        raise ValueError("need at least 2 relations for relation corruption")
 
     h, r, t = (int(x) for x in triple)
     for _ in range(max_attempts):
         slot = mode
         if mode == "uniform-either":
             slot = "head" if rng.integers(2) == 0 else "tail"
+        cand = int(rng.integers(n_ent))
         if slot == "head":
-            cand = int(rng.integers(n_ent))
-            corrupted = (cand, r, t)
-            changed = cand != h
-        elif slot == "tail":
-            cand = int(rng.integers(n_ent))
-            corrupted = (h, r, cand)
-            changed = cand != t
+            corrupted, changed = (cand, r, t), cand != h
         else:
-            cand = int(rng.integers(triple_set.n_relations))
-            corrupted = (h, cand, t)
-            changed = cand != r
+            corrupted, changed = (h, r, cand), cand != t
         if changed and corrupted not in triple_set.triple_index:
             return corrupted
     raise CorruptionExhaustedError(

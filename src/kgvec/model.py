@@ -1,6 +1,7 @@
 """Embedding parameters, triple scoring, and analytic loss gradients.
 
-Knowledge-model variants, by what each scoring function does:
+Knowledge-model variants, by what each scoring function does; each is one
+relation bundle class below (see ``RELATION_TYPES``):
 
 * ``lowrank``  — asymmetric rank-bounded projections of head and tail:
                  f = ||L h + r - R t||^2 with L, R stored as rank-1 factors.
@@ -20,6 +21,7 @@ test suite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -34,6 +36,14 @@ VARIANTS = ("lowrank", "transe", "transh", "se", "transr", "sg")
 # Logistic inputs are clamped here before exponentiation; at 64-bit this is
 # bias-free to ~1e-13 while ruling out overflow.
 LOGIT_CLAMP = 30.0
+
+
+def all_finite(a: np.ndarray) -> bool:
+    """Whether every entry of ``a`` is finite."""
+    # A sum of squares is finite exactly when every entry is, unless finite
+    # entries overflow it; then the exact check decides.  One dot product
+    # costs far less than ``np.isfinite`` on the whole array.
+    return math.isfinite(np.vdot(a, a)) or bool(np.isfinite(a).all())
 
 
 @dataclass
@@ -101,18 +111,25 @@ class EmbeddingStore:
             ("output_vectors", self.output_vectors),
             ("relation_vectors", self.relation_vectors),
         ):
-            if not np.all(np.isfinite(arr)):
+            if not all_finite(arr):
                 raise NumericError(f"non-finite values in {name}")
 
 
 # ---------------------------------------------------------------------------
-# Per-relation parameters
+# Per-relation parameters: one bundle class per knowledge variant
 # ---------------------------------------------------------------------------
 #
-# Each bundle shows its arrays through one ordered view, ``arrays()``, keyed
-# by the names they carry in a checkpoint; ``from_arrays`` builds a bundle
-# from such a view.  Knowledge gradients are tuples in view order, so the SGD
-# update, the finite check and checkpoint I/O are loops over the view.
+# A bundle class is the whole definition of its variant: the shapes and start
+# values of its arrays, its score, and the gradients of its hinge.  Each
+# bundle shows its arrays through one ordered view, ``arrays()``, keyed by the
+# names they carry in a checkpoint; ``from_arrays`` builds a bundle from such
+# a view.  Parameter gradients are tuples in view order, so the SGD update,
+# the finite check and checkpoint I/O are loops over the view.
+#
+# ``grads(head, tail, corrupt_head, corrupt_tail, relation)`` returns the
+# gradients of f(golden) - f(corrupted), where both triples share the
+# relation: those of the four entity slots, of the relation vector, and the
+# tuple of the view arrays'.
 
 
 class _RelationArrays:
@@ -131,8 +148,29 @@ class _RelationArrays:
 
 @dataclass
 class LowRankRelation(_RelationArrays):
+    """``lowrank``: f = ||L h + r - R t||^2 with rank-bounded L and R."""
+
     head_proj: LowRankProjection
     tail_proj: LowRankProjection
+
+    @staticmethod
+    def shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+        d, mh, mt = config.dim, config.head_rank, config.tail_rank
+        return {
+            "head.weights": (mh,),
+            "head.out": (mh, d),
+            "head.in": (mh, d),
+            "tail.weights": (mt,),
+            "tail.out": (mt, d),
+            "tail.in": (mt, d),
+        }
+
+    @classmethod
+    def init(cls, config: ModelConfig, rng: np.random.Generator) -> "LowRankRelation":
+        return cls(
+            init_projection(config.dim, config.head_rank, rng),
+            init_projection(config.dim, config.tail_rank, rng),
+        )
 
     def arrays(self) -> dict[str, np.ndarray]:
         out = {}
@@ -150,31 +188,205 @@ class LowRankRelation(_RelationArrays):
         )
         return cls(head, tail)
 
+    def score(self, head, relation, tail) -> float:
+        e = self.head_proj.apply(head) + relation - self.tail_proj.apply(tail)
+        return float(e @ e)
+
+    def grads(self, head, tail, corrupt_head, corrupt_tail, relation):
+        lp, rp = self.head_proj, self.tail_proj
+        e_g = lp.apply(head) + relation - rp.apply(tail)
+        e_c = lp.apply(corrupt_head) + relation - rp.apply(corrupt_tail)
+
+        # Head-side factors: f = ||e||^2, dA = 2 e h^T  for  e = A h + r - B t.
+        qh_g = lp.in_factors @ head
+        qh_c = lp.in_factors @ corrupt_head
+        pe_g = lp.out_factors @ e_g
+        pe_c = lp.out_factors @ e_c
+        d_lw = 2.0 * (pe_g * qh_g - pe_c * qh_c)
+        d_lout = 2.0 * lp.weights[:, None] * (
+            qh_g[:, None] * e_g[None, :] - qh_c[:, None] * e_c[None, :]
+        )
+        d_lin = 2.0 * lp.weights[:, None] * (
+            pe_g[:, None] * head[None, :] - pe_c[:, None] * corrupt_head[None, :]
+        )
+
+        # Tail-side factors enter with a minus sign: dB = -2 e t^T.
+        st_g = rp.in_factors @ tail
+        st_c = rp.in_factors @ corrupt_tail
+        oe_g = rp.out_factors @ e_g
+        oe_c = rp.out_factors @ e_c
+        d_rw = -2.0 * (oe_g * st_g - oe_c * st_c)
+        d_rout = -2.0 * rp.weights[:, None] * (
+            st_g[:, None] * e_g[None, :] - st_c[:, None] * e_c[None, :]
+        )
+        d_rin = -2.0 * rp.weights[:, None] * (
+            oe_g[:, None] * tail[None, :] - oe_c[:, None] * corrupt_tail[None, :]
+        )
+
+        return (
+            2 * lp.apply_transpose(e_g),
+            -2 * rp.apply_transpose(e_g),
+            -2 * lp.apply_transpose(e_c),
+            2 * rp.apply_transpose(e_c),
+            2 * (e_g - e_c),
+            (d_lw, d_lout, d_lin, d_rw, d_rout, d_rin),
+        )
+
+    def dense_maps(self) -> tuple[np.ndarray, np.ndarray]:
+        """The dense d x d head and tail maps L and R."""
+        return self.head_proj.materialize(), self.tail_proj.materialize()
+
+
+@dataclass
+class TransERelation(_RelationArrays):
+    """``transe``: f = ||h + r - t||^2; the relation vector is all there is."""
+
+    @staticmethod
+    def shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+        return {}
+
+    @classmethod
+    def init(cls, config: ModelConfig, rng: np.random.Generator) -> "TransERelation":
+        return cls()
+
+    def score(self, head, relation, tail) -> float:
+        e = head + relation - tail
+        return float(e @ e)
+
+    def grads(self, head, tail, corrupt_head, corrupt_tail, relation):
+        e_g = head + relation - tail
+        e_c = corrupt_head + relation - corrupt_tail
+        return 2 * e_g, -2 * e_g, -2 * e_c, 2 * e_c, 2 * (e_g - e_c), ()
+
 
 @dataclass
 class TransHRelation(_RelationArrays):
-    normal: np.ndarray  # unit-length hyperplane normal
+    """``transh``: f = ||h_perp + r - t_perp||^2, x_perp = x - (w.x) w."""
+
+    normal: np.ndarray  # unit-length hyperplane normal w
+
+    @staticmethod
+    def shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+        return {"normal": (config.dim,)}
+
+    @classmethod
+    def init(cls, config: ModelConfig, rng: np.random.Generator) -> "TransHRelation":
+        w = rng.standard_normal(config.dim)
+        return cls(w / np.linalg.norm(w))
 
     def renormalize(self) -> None:
         self.normal /= np.linalg.norm(self.normal)
 
+    def score(self, head, relation, tail) -> float:
+        w = self.normal
+        e = (head - (w @ head) * w) + relation - (tail - (w @ tail) * w)
+        return float(e @ e)
+
+    def grads(self, head, tail, corrupt_head, corrupt_tail, relation):
+        w = self.normal
+        z_g = head - tail
+        z_c = corrupt_head - corrupt_tail
+        e_g = z_g - (w @ z_g) * w + relation
+        e_c = z_c - (w @ z_c) * w + relation
+
+        def project(v):
+            return v - (w @ v) * w
+
+        d_w = -2.0 * ((e_g @ w) * z_g + (w @ z_g) * e_g) + 2.0 * (
+            (e_c @ w) * z_c + (w @ z_c) * e_c
+        )
+        return (
+            2 * project(e_g),
+            -2 * project(e_g),
+            -2 * project(e_c),
+            2 * project(e_c),
+            2 * (e_g - e_c),
+            (d_w,),
+        )
+
+    def dense_maps(self) -> tuple[np.ndarray, np.ndarray]:
+        """One hyperplane projector I - w w^T serves as both maps."""
+        w = self.normal
+        plane = np.eye(len(w)) - np.outer(w, w)
+        return plane, plane
+
 
 @dataclass
 class SERelation(_RelationArrays):
+    """``se``: f = ||L h - R t||_1 with full L and R; no relation vector."""
+
     head_matrix: np.ndarray  # (d, d)
     tail_matrix: np.ndarray  # (d, d)
+
+    @staticmethod
+    def shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+        d = config.dim
+        return {"head_matrix": (d, d), "tail_matrix": (d, d)}
+
+    @classmethod
+    def init(cls, config: ModelConfig, rng: np.random.Generator) -> "SERelation":
+        return cls(np.eye(config.dim), np.eye(config.dim))
+
+    def score(self, head, relation, tail) -> float:
+        return float(np.abs(self.head_matrix @ head - self.tail_matrix @ tail).sum())
+
+    def grads(self, head, tail, corrupt_head, corrupt_tail, relation):
+        L, R = self.head_matrix, self.tail_matrix
+        s_g = np.sign(L @ head - R @ tail)
+        s_c = np.sign(L @ corrupt_head - R @ corrupt_tail)
+        return (
+            L.T @ s_g,
+            -(R.T @ s_g),
+            -(L.T @ s_c),
+            R.T @ s_c,
+            np.zeros_like(head),
+            (
+                np.outer(s_g, head) - np.outer(s_c, corrupt_head),
+                -(np.outer(s_g, tail) - np.outer(s_c, corrupt_tail)),
+            ),
+        )
 
 
 @dataclass
 class TransRRelation(_RelationArrays):
+    """``transr``: f = ||M h + r - M t||^2 with one full M per relation."""
+
     matrix: np.ndarray  # (d, d)
 
+    @staticmethod
+    def shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+        return {"matrix": (config.dim, config.dim)}
 
-RelationParams = LowRankRelation | TransHRelation | SERelation | TransRRelation | None
+    @classmethod
+    def init(cls, config: ModelConfig, rng: np.random.Generator) -> "TransRRelation":
+        return cls(np.eye(config.dim))
 
-# Bundle class of each variant that has one; transe and sg have none.
-_RELATION_TYPES = {
+    def score(self, head, relation, tail) -> float:
+        e = self.matrix @ (head - tail) + relation
+        return float(e @ e)
+
+    def grads(self, head, tail, corrupt_head, corrupt_tail, relation):
+        M = self.matrix
+        z_g = head - tail
+        z_c = corrupt_head - corrupt_tail
+        e_g = M @ z_g + relation
+        e_c = M @ z_c + relation
+        return (
+            2 * (M.T @ e_g),
+            -2 * (M.T @ e_g),
+            -2 * (M.T @ e_c),
+            2 * (M.T @ e_c),
+            2 * (e_g - e_c),
+            (2.0 * (np.outer(e_g, z_g) - np.outer(e_c, z_c)),),
+        )
+
+
+RelationParams = LowRankRelation | TransERelation | TransHRelation | SERelation | TransRRelation
+
+# Bundle class of each knowledge variant; sg, text only, keeps no bundles.
+RELATION_TYPES: dict[str, type] = {
     "lowrank": LowRankRelation,
+    "transe": TransERelation,
     "transh": TransHRelation,
     "se": SERelation,
     "transr": TransRRelation,
@@ -183,20 +395,8 @@ _RELATION_TYPES = {
 
 def relation_array_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Shape of each array in one relation's view, in view order."""
-    d, mh, mt = config.dim, config.head_rank, config.tail_rank
-    return {
-        "lowrank": {
-            "head.weights": (mh,),
-            "head.out": (mh, d),
-            "head.in": (mh, d),
-            "tail.weights": (mt,),
-            "tail.out": (mt, d),
-            "tail.in": (mt, d),
-        },
-        "transh": {"normal": (d,)},
-        "se": {"head_matrix": (d, d), "tail_matrix": (d, d)},
-        "transr": {"matrix": (d, d)},
-    }.get(config.variant, {})
+    kind = RELATION_TYPES.get(config.variant)
+    return kind.shapes(config) if kind else {}
 
 
 def relation_params_from_arrays(
@@ -206,41 +406,20 @@ def relation_params_from_arrays(
 ) -> list[RelationParams]:
     """The bundles ``init_relation_params`` would shape, with relation i's
     arrays taken from ``array(i, name)``."""
-    if config.variant == "sg":
+    kind = RELATION_TYPES.get(config.variant)
+    if not kind:
         return []
-    kind = _RELATION_TYPES.get(config.variant)
-    if kind is None:  # transe
-        return [None] * n_relations
-    names = relation_array_shapes(config)
+    names = kind.shapes(config)
     return [kind.from_arrays({n: array(i, n) for n in names}) for i in range(n_relations)]
 
 
 def init_relation_params(
     config: ModelConfig, n_relations: int, rng: np.random.Generator
 ) -> list[RelationParams]:
-    """One parameter bundle per relation; ``transe`` needs none beyond the
-    relation vector and ``sg`` has no knowledge side at all."""
-    if config.variant == "sg":
-        return []
-    params: list[RelationParams] = []
-    for _ in range(n_relations):
-        if config.variant == "lowrank":
-            params.append(
-                LowRankRelation(
-                    init_projection(config.dim, config.head_rank, rng),
-                    init_projection(config.dim, config.tail_rank, rng),
-                )
-            )
-        elif config.variant == "transh":
-            w = rng.standard_normal(config.dim)
-            params.append(TransHRelation(w / np.linalg.norm(w)))
-        elif config.variant == "se":
-            params.append(SERelation(np.eye(config.dim), np.eye(config.dim)))
-        elif config.variant == "transr":
-            params.append(TransRRelation(np.eye(config.dim)))
-        else:  # transe
-            params.append(None)
-    return params
+    """One parameter bundle per relation, of the variant's class; ``sg`` has
+    no knowledge side at all."""
+    kind = RELATION_TYPES.get(config.variant)
+    return [kind.init(config, rng) for _ in range(n_relations)] if kind else []
 
 
 # ---------------------------------------------------------------------------
@@ -255,25 +434,11 @@ def score_triple(
     relation: np.ndarray,
     tail: np.ndarray,
 ) -> float:
-    """Variant-appropriate plausibility score; lower is more plausible."""
-    variant = config.variant
-    if variant == "lowrank":
-        e = params.head_proj.apply(head) + relation - params.tail_proj.apply(tail)
-        score = float(e @ e)
-    elif variant == "transe":
-        e = head + relation - tail
-        score = float(e @ e)
-    elif variant == "transh":
-        w = params.normal
-        e = (head - (w @ head) * w) + relation - (tail - (w @ tail) * w)
-        score = float(e @ e)
-    elif variant == "se":
-        score = float(np.abs(params.head_matrix @ head - params.tail_matrix @ tail).sum())
-    elif variant == "transr":
-        e = params.matrix @ (head - tail) + relation
-        score = float(e @ e)
-    else:
-        raise ValueError(f"variant {variant!r} has no triple score")
+    """Variant-appropriate plausibility score; lower is more plausible.
+
+    ``params`` is the relation's bundle, whose class defines the score.
+    """
+    score = params.score(head, relation, tail)
     if not np.isfinite(score):
         raise NumericError("non-finite triple score")
     return score
@@ -291,7 +456,7 @@ class KnowledgeGrads:
     Slot gradients are reported separately even when golden and corrupted
     triples share an embedding row; callers accumulate.  ``params`` holds the
     relation's parameter gradients in the order of its ``arrays()`` view
-    (None for transe).  An inactive hinge has no gradient: every array field
+    (empty for transe).  An inactive hinge has no gradient: every array field
     is None.
     """
 
@@ -331,130 +496,8 @@ def knowledge_loss_grad(
         return KnowledgeGrads(0.0, False, None, None, None, None, None)
     if not np.isfinite(loss):
         raise NumericError("non-finite knowledge loss")
-
-    variant = config.variant
-    if variant == "lowrank":
-        grads = _lowrank_grads(params, head, tail, corrupt_head, corrupt_tail, relation)
-    elif variant == "transe":
-        e_g = head + relation - tail
-        e_c = corrupt_head + relation - corrupt_tail
-        grads = KnowledgeGrads(
-            0.0, True, 2 * e_g, -2 * e_g, -2 * e_c, 2 * e_c, 2 * (e_g - e_c), None
-        )
-    elif variant == "transh":
-        grads = _transh_grads(params, head, tail, corrupt_head, corrupt_tail, relation)
-    elif variant == "se":
-        grads = _se_grads(params, head, tail, corrupt_head, corrupt_tail)
-    elif variant == "transr":
-        grads = _transr_grads(params, head, tail, corrupt_head, corrupt_tail, relation)
-    else:
-        raise ValueError(f"variant {variant!r} has no knowledge loss")
-    grads.loss = float(loss)
-    return grads
-
-
-def _lowrank_grads(params, head, tail, corrupt_head, corrupt_tail, relation):
-    lp, rp = params.head_proj, params.tail_proj
-    e_g = lp.apply(head) + relation - rp.apply(tail)
-    e_c = lp.apply(corrupt_head) + relation - rp.apply(corrupt_tail)
-
-    # Head-side factors: f = ||e||^2, dA = 2 e h^T  for  e = A h + r - B t.
-    qh_g = lp.in_factors @ head
-    qh_c = lp.in_factors @ corrupt_head
-    pe_g = lp.out_factors @ e_g
-    pe_c = lp.out_factors @ e_c
-    d_lw = 2.0 * (pe_g * qh_g - pe_c * qh_c)
-    d_lout = 2.0 * lp.weights[:, None] * (
-        qh_g[:, None] * e_g[None, :] - qh_c[:, None] * e_c[None, :]
-    )
-    d_lin = 2.0 * lp.weights[:, None] * (
-        pe_g[:, None] * head[None, :] - pe_c[:, None] * corrupt_head[None, :]
-    )
-
-    # Tail-side factors enter with a minus sign: dB = -2 e t^T.
-    st_g = rp.in_factors @ tail
-    st_c = rp.in_factors @ corrupt_tail
-    oe_g = rp.out_factors @ e_g
-    oe_c = rp.out_factors @ e_c
-    d_rw = -2.0 * (oe_g * st_g - oe_c * st_c)
-    d_rout = -2.0 * rp.weights[:, None] * (
-        st_g[:, None] * e_g[None, :] - st_c[:, None] * e_c[None, :]
-    )
-    d_rin = -2.0 * rp.weights[:, None] * (
-        oe_g[:, None] * tail[None, :] - oe_c[:, None] * corrupt_tail[None, :]
-    )
-
     return KnowledgeGrads(
-        0.0,
-        True,
-        2 * lp.apply_transpose(e_g),
-        -2 * rp.apply_transpose(e_g),
-        -2 * lp.apply_transpose(e_c),
-        2 * rp.apply_transpose(e_c),
-        2 * (e_g - e_c),
-        (d_lw, d_lout, d_lin, d_rw, d_rout, d_rin),
-    )
-
-
-def _transh_grads(params, head, tail, corrupt_head, corrupt_tail, relation):
-    w = params.normal
-    z_g = head - tail
-    z_c = corrupt_head - corrupt_tail
-    e_g = z_g - (w @ z_g) * w + relation
-    e_c = z_c - (w @ z_c) * w + relation
-
-    def project(v):
-        return v - (w @ v) * w
-
-    d_w = -2.0 * ((e_g @ w) * z_g + (w @ z_g) * e_g) + 2.0 * (
-        (e_c @ w) * z_c + (w @ z_c) * e_c
-    )
-    return KnowledgeGrads(
-        0.0,
-        True,
-        2 * project(e_g),
-        -2 * project(e_g),
-        -2 * project(e_c),
-        2 * project(e_c),
-        2 * (e_g - e_c),
-        (d_w,),
-    )
-
-
-def _se_grads(params, head, tail, corrupt_head, corrupt_tail):
-    L, R = params.head_matrix, params.tail_matrix
-    s_g = np.sign(L @ head - R @ tail)
-    s_c = np.sign(L @ corrupt_head - R @ corrupt_tail)
-    return KnowledgeGrads(
-        0.0,
-        True,
-        L.T @ s_g,
-        -(R.T @ s_g),
-        -(L.T @ s_c),
-        R.T @ s_c,
-        np.zeros_like(head),
-        (
-            np.outer(s_g, head) - np.outer(s_c, corrupt_head),
-            -(np.outer(s_g, tail) - np.outer(s_c, corrupt_tail)),
-        ),
-    )
-
-
-def _transr_grads(params, head, tail, corrupt_head, corrupt_tail, relation):
-    M = params.matrix
-    z_g = head - tail
-    z_c = corrupt_head - corrupt_tail
-    e_g = M @ z_g + relation
-    e_c = M @ z_c + relation
-    return KnowledgeGrads(
-        0.0,
-        True,
-        2 * (M.T @ e_g),
-        -2 * (M.T @ e_g),
-        -2 * (M.T @ e_c),
-        2 * (M.T @ e_c),
-        2 * (e_g - e_c),
-        (2.0 * (np.outer(e_g, z_g) - np.outer(e_c, z_c)),),
+        float(loss), True, *params.grads(head, tail, corrupt_head, corrupt_tail, relation)
     )
 
 

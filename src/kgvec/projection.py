@@ -37,10 +37,6 @@ class LowRankProjection:
             raise ValueError("factor shapes do not match weight count")
 
     @property
-    def rank_bound(self) -> int:
-        return len(self.weights)
-
-    @property
     def dim(self) -> int:
         return self.out_factors.shape[1]
 
@@ -60,11 +56,6 @@ class LowRankProjection:
         """Dense d x d matrix sum_i w_i p_i q_i^T (for tests and export only)."""
         return (self.out_factors * self.weights[:, None]).T @ self.in_factors
 
-    def copy(self) -> "LowRankProjection":
-        return LowRankProjection(
-            self.weights.copy(), self.out_factors.copy(), self.in_factors.copy()
-        )
-
 
 def init_projection(d: int, m: int, rng: np.random.Generator) -> LowRankProjection:
     """Random 0/1 diagonal start: m distinct axes get weight-1 identity factors.
@@ -76,12 +67,6 @@ def init_projection(d: int, m: int, rng: np.random.Generator) -> LowRankProjecti
     axes = rng.choice(d, size=m, replace=False)
     eye = np.eye(d)[np.sort(axes)]
     return LowRankProjection(np.ones(m), eye.copy(), eye.copy())
-
-
-def identity_projection(d: int) -> LowRankProjection:
-    """Full-rank identity map in factor form."""
-    eye = np.eye(d)
-    return LowRankProjection(np.ones(d), eye.copy(), eye.copy())
 
 
 def hyperplane_complement_basis(normal: np.ndarray) -> np.ndarray:

@@ -12,7 +12,6 @@ Micro-steps run in blocks of ``BLOCK``; see :class:`_Worker`.
 from __future__ import annotations
 
 import json
-import math
 import os
 import struct
 import time
@@ -30,11 +29,12 @@ from .corpus import (
     _subsample_ids,
 )
 from .errors import CheckpointError, ConfigError, NumericError
-from .kg import TripleSet, corrupt_triple
+from .kg import CORRUPT_MODES, TripleSet, corrupt_triple
 from .model import (
     EmbeddingStore,
     ModelConfig,
     RelationParams,
+    all_finite,
     init_relation_params,
     knowledge_loss_grad,
     relation_array_shapes,
@@ -78,10 +78,9 @@ class TrainConfig:
             raise ConfigError("epochs must be >= 1")
         if self.window < 1:
             raise ConfigError("window must be >= 1")
-        if self.corrupt_mode not in ("head", "tail", "uniform-either"):
+        if self.corrupt_mode not in CORRUPT_MODES:
             raise ConfigError(
-                "corrupt_mode must be head, tail, or uniform-either for "
-                "training (relation corruption is only a corrupt_triple option)"
+                f"corrupt_mode must be one of {CORRUPT_MODES}, got {self.corrupt_mode!r}"
             )
 
 
@@ -132,15 +131,6 @@ class ModelState:
     relation_names: list[str]
     store: EmbeddingStore
     params: list[RelationParams]
-
-
-def lr_at(step: int, total_steps: int, initial_lr: float) -> float:
-    """Linear decay from initial_lr to its 1e-4 floor over total_steps."""
-    if not 0 <= step <= total_steps:
-        raise ValueError("step must lie in [0, total_steps]")
-    if total_steps == 0:
-        return initial_lr
-    return initial_lr * max(1.0 - step / total_steps, LR_FLOOR)
 
 
 def init_state(
@@ -412,11 +402,9 @@ def _scatter_subtract(table: np.ndarray, rows: np.ndarray, updates: np.ndarray) 
 
 
 def _apply_param_update(
-    params: RelationParams, grads: tuple[np.ndarray, ...] | None, lr: float
+    params: RelationParams, grads: tuple[np.ndarray, ...], lr: float
 ) -> None:
     """SGD step on every array of the relation's view, then its constraint."""
-    if params is None:  # transe: the relation vector is all there is
-        return
     for array, grad in zip(params.arrays().values(), grads):
         array -= lr * grad
     params.renormalize()
@@ -424,10 +412,8 @@ def _apply_param_update(
 
 def _check_params_finite(params: list[RelationParams]) -> None:
     for i, p in enumerate(params):
-        if p is None:
-            continue
         for name, a in p.arrays().items():
-            if not np.all(np.isfinite(a)):
+            if not all_finite(a):
                 raise NumericError(
                     f"non-finite relation parameters in relation {i} ({name})"
                 )
@@ -445,8 +431,7 @@ def _state_arrays(state: ModelState) -> list[tuple[str, np.ndarray]]:
         ("relations", state.store.relation_vectors),
     ]
     for i, p in enumerate(state.params):
-        if p is not None:
-            out += [(f"rel{i}.{name}", a) for name, a in p.arrays().items()]
+        out += [(f"rel{i}.{name}", a) for name, a in p.arrays().items()]
     return out
 
 
@@ -516,13 +501,6 @@ def _raw_bytes(a: np.ndarray) -> np.ndarray:
     """A flat byte view of C-contiguous ``a``, for writing or reading its
     buffer in place; unlike ``memoryview(a).cast("B")`` it works at size 0."""
     return a.reshape(-1).view(np.uint8)
-
-
-def _all_finite(a: np.ndarray) -> bool:
-    # A sum of squares is finite exactly when every entry is, unless finite
-    # entries overflow it; then the exact check decides.  One dot product
-    # costs far less than ``np.isfinite`` on the whole array.
-    return math.isfinite(np.vdot(a, a)) or bool(np.isfinite(a).all())
 
 
 # Train-config keys of earlier releases; a header that has them still loads.
@@ -627,7 +605,7 @@ def load_checkpoint(path: str | Path) -> ModelState:
             if fh.readinto(_raw_bytes(a)) != a.nbytes:
                 raise CheckpointError(f"{path}: truncated checkpoint (array {name})")
             # Checked while its bytes are still in cache.
-            if not _all_finite(a):
+            if not all_finite(a):
                 raise CheckpointError(
                     f"{path}: checkpoint array {name!r} holds NaN or inf"
                 )

@@ -33,8 +33,6 @@ def assert_grad_matches(loss_fn, array, grad, tol=REL_TOL, step=FD_STEP):
 
 def param_grad_pairs(params, grads):
     """(parameter array, gradient array) pairs over the relation's view."""
-    if params is None:
-        return []
     return list(zip(params.arrays().values(), grads))
 
 
@@ -49,8 +47,7 @@ def random_relation_params(variant, d, rng):
         tail_rank=max(1, d - 1),
     )
     params = init_relation_params(cfg, 1, rng)[0]
-    if params is not None:
-        for array in params.arrays().values():
-            array[:] = rng.standard_normal(array.shape)
-        params.renormalize()
+    for array in params.arrays().values():
+        array[:] = rng.standard_normal(array.shape)
+    params.renormalize()
     return cfg, params

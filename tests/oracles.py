@@ -2,8 +2,9 @@
 
 Each is the plain, slow form of something kgvec does in vectorised or
 binary form: the generator of skip-gram pairs behind
-``kgvec.corpus.context_pair_arrays``, and a reader for the word2vec text
-files ``kgvec.model.save_embeddings_text`` writes.
+``kgvec.corpus.context_pair_arrays``, a reader for the word2vec text
+files ``kgvec.model.save_embeddings_text`` writes, the per-step form of the
+trainer's learning-rate schedule, and the identity map in factor form.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from kgvec.corpus import Vocabulary, _subsample_ids
+from kgvec.projection import LowRankProjection
+from kgvec.trainer import LR_FLOOR
 
 
 @dataclass(frozen=True)
@@ -73,3 +76,18 @@ def load_embeddings_text(path: str | Path) -> tuple[list[str], np.ndarray]:
             tokens.append(parts[0])
             vectors[i] = [float(x) for x in parts[1:]]
     return tokens, vectors
+
+
+def lr_at(step: int, total_steps: int, initial_lr: float) -> float:
+    """Linear decay from initial_lr to its 1e-4 floor over total_steps."""
+    if not 0 <= step <= total_steps:
+        raise ValueError("step must lie in [0, total_steps]")
+    if total_steps == 0:
+        return initial_lr
+    return initial_lr * max(1.0 - step / total_steps, LR_FLOOR)
+
+
+def identity_projection(d: int) -> LowRankProjection:
+    """Full-rank identity map in factor form."""
+    eye = np.eye(d)
+    return LowRankProjection(np.ones(d), eye.copy(), eye.copy())

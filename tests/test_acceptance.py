@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from gradcheck import FD_STEP, REL_TOL, central_difference, param_grad_pairs, random_relation_params
+from oracles import identity_projection
 from synthdata import many_to_one_fixture, relation_world, translation_fixture
 from test_kg import brute_force_stats, make_triple_set
 from test_eval import oracle_spearman
@@ -28,16 +29,12 @@ from kgvec.model import (
     EmbeddingStore,
     LowRankRelation,
     ModelConfig,
+    TransERelation,
     knowledge_loss_grad,
     score_triple,
     skipgram_ns_loss_grad,
 )
-from kgvec.projection import (
-    LowRankProjection,
-    identity_projection,
-    init_projection,
-    transh_as_lowrank,
-)
+from kgvec.projection import LowRankProjection, init_projection, transh_as_lowrank
 from kgvec.trainer import ModelState, TrainConfig, train
 
 
@@ -144,7 +141,9 @@ def test_criterion_2a_identity_projections_match_plain_translation():
     exact = True
     for _ in range(200):
         h, r, t = (rng.standard_normal(d) for _ in range(3))
-        exact &= score_triple(low, params, h, r, t) == score_triple(plain, None, h, r, t)
+        exact &= score_triple(low, params, h, r, t) == score_triple(
+            plain, TransERelation(), h, r, t
+        )
     record("2a (identity projections = translation)", exact, "exact equality, 200 triples")
 
 
@@ -301,7 +300,7 @@ def test_criterion_4_fit_predicate_credits_heads_in_projection_kernel():
     low_residual, low_dist, low_both = _many_to_one_outcome(
         state_for("lowrank", LowRankRelation(kept, identity_projection(d)))
     )
-    plain_residual, _, plain_both = _many_to_one_outcome(state_for("transe", None))
+    plain_residual, _, plain_both = _many_to_one_outcome(state_for("transe", TransERelation()))
     record(
         "4 (fit predicate is satisfiable)",
         low_both and low_residual < 1e-12 and not plain_both,

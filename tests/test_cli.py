@@ -15,7 +15,7 @@ from kgvec.model import (
     SERelation,
     TransRRelation,
 )
-from kgvec.projection import LowRankProjection, identity_projection
+from kgvec.projection import LowRankProjection
 from kgvec.trainer import (
     CHECKPOINT_MAGIC,
     ModelState,
@@ -23,7 +23,7 @@ from kgvec.trainer import (
     load_checkpoint,
     save_checkpoint,
 )
-from oracles import load_embeddings_text
+from oracles import identity_projection, load_embeddings_text
 
 
 CORPUS = (

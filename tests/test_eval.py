@@ -25,8 +25,9 @@ from kgvec.model import (
     TransHRelation,
     score_triple,
 )
-from kgvec.projection import LowRankProjection, identity_projection
+from kgvec.projection import LowRankProjection
 from kgvec.trainer import ModelState, TrainConfig
+from oracles import identity_projection
 from synthdata import relation_world
 
 
@@ -196,10 +197,9 @@ class TestRelationalAnalogy:
             [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]
         )
         rel_vectors = np.array([[50.0, 50.0], [0.0, 1.0]])
-        eye = identity_projection(2)
         params = [
-            LowRankRelation(eye.copy(), eye.copy()),
-            LowRankRelation(eye.copy(), eye.copy()),
+            LowRankRelation(identity_projection(2), identity_projection(2)),
+            LowRankRelation(identity_projection(2), identity_projection(2)),
         ]
         state = make_state(vocab, vectors, rel_vectors, params)
         predictor = RelationalAnalogy(state)
@@ -286,18 +286,18 @@ class TestRelationalAnalogy:
             assert_matches_direct_scan(state, questions)
 
     def test_cached_scores_match_direct_scan_on_exact_fits(self):
-        eye = identity_projection(2)
+        eye = identity_projection(2)  # only read, so the bundles may share it
         translation = make_state(
             make_vocab(["a", "b", "c", "d", "x"]),
             np.array([[0.0, 0.0], [1.0, 0.5], [2.0, -1.0], [3.0, -0.5], [-4.0, 4.0]]),
             np.array([[1.0, 0.5]]),
-            [LowRankRelation(eye.copy(), eye.copy())],
+            [LowRankRelation(eye, eye)],
         )
         two_relations = make_state(
             make_vocab(["a", "b", "c", "d"]),
             np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]),
             np.array([[50.0, 50.0], [0.0, 1.0]]),
-            [LowRankRelation(eye.copy(), eye.copy()), LowRankRelation(eye.copy(), eye.copy())],
+            [LowRankRelation(eye, eye), LowRankRelation(eye, eye)],
         )
         for state in (translation, two_relations):
             tokens = state.vocab.tokens

@@ -182,11 +182,10 @@ class TestCorruptTriple:
         sigma = np.sqrt(0.25 * n)
         assert abs(heads - n / 2) <= 3 * sigma
 
-    def test_relation_mode_behind_flag(self):
+    def test_relation_mode_rejected(self):
         ts = make_triple_set([(0, 0, 1), (0, 1, 1)], 2, 3)
-        rng = np.random.default_rng(4)
-        out = corrupt_triple((0, 0, 1), ts, "relation", rng)
-        assert out[0] == 0 and out[2] == 1 and out[1] not in (0, 1)
+        with pytest.raises(ValueError):
+            corrupt_triple((0, 0, 1), ts, "relation", np.random.default_rng(4))
 
     def test_needs_two_entities(self):
         ts = make_triple_set([(0, 0, 0)], 1, 1)

@@ -9,6 +9,7 @@ from kgvec.model import (
     LowRankRelation,
     ModelConfig,
     SERelation,
+    TransERelation,
     TransHRelation,
     TransRRelation,
     init_relation_params,
@@ -19,8 +20,8 @@ from kgvec.model import (
     score_triple,
     skipgram_ns_loss_grad,
 )
-from kgvec.projection import LowRankProjection, identity_projection
-from oracles import load_embeddings_text
+from kgvec.projection import LowRankProjection
+from oracles import identity_projection, load_embeddings_text
 
 
 class TestModelConfig:
@@ -51,7 +52,7 @@ class TestScoreTriple:
         h = np.array([1.0, 0.0])
         r = np.array([0.0, 1.0])
         t = np.array([0.0, 0.0])
-        assert score_triple(cfg, None, h, r, t) == 2.0
+        assert score_triple(cfg, TransERelation(), h, r, t) == 2.0
 
     def test_transh_hand_projection(self):
         cfg = ModelConfig(variant="transh", dim=2)
@@ -82,7 +83,9 @@ class TestScoreTriple:
     def test_non_finite_input_raises(self):
         cfg = ModelConfig(variant="transe", dim=2)
         with pytest.raises(NumericError):
-            score_triple(cfg, None, np.array([np.nan, 0.0]), np.zeros(2), np.zeros(2))
+            score_triple(
+                cfg, TransERelation(), np.array([np.nan, 0.0]), np.zeros(2), np.zeros(2)
+            )
 
 
 class TestSpecialCaseReductions:
@@ -95,7 +98,7 @@ class TestSpecialCaseReductions:
         for _ in range(50):
             h, r, t = (rng.standard_normal(d) for _ in range(3))
             assert score_triple(low, params, h, r, t) == score_triple(
-                plain, None, h, r, t
+                plain, TransERelation(), h, r, t
             )
 
     def test_full_rank_shared_factors_reproduce_transr(self):
@@ -122,7 +125,7 @@ class TestKnowledgeLossGrad:
         r = np.zeros(d)
         t = np.zeros(d)
         ch = np.full(d, 10.0)  # corrupted score far above margin
-        g = knowledge_loss_grad(cfg, None, h, t, ch, t, r)
+        g = knowledge_loss_grad(cfg, TransERelation(), h, t, ch, t, r)
         assert g.loss == 0.0
         assert not g.active
         for arr in (g.head, g.tail, g.corrupt_head, g.corrupt_tail, g.relation, g.params):
@@ -146,7 +149,7 @@ class TestKnowledgeLossGrad:
         r = np.zeros(1)
         t = np.zeros(1)  # f_golden = 1.0
         ch = np.array([np.sqrt(1.2)])  # f_corrupt = 1.2
-        g = knowledge_loss_grad(cfg, None, h, t, ch, t, r)
+        g = knowledge_loss_grad(cfg, TransERelation(), h, t, ch, t, r)
         assert g.loss == pytest.approx(0.8, abs=1e-12)
 
     def test_loss_bounds(self):
@@ -188,7 +191,7 @@ class TestKnowledgeLossGrad:
         cfg = ModelConfig(variant="transe", dim=2)
         z = np.zeros(2)
         with pytest.raises(ValueError):
-            knowledge_loss_grad(cfg, None, z, z, z, z, z, margin=-1.0)
+            knowledge_loss_grad(cfg, TransERelation(), z, z, z, z, z, margin=-1.0)
 
 
 class TestSkipGramLoss:
@@ -324,8 +327,7 @@ class TestRelationArrays:
         cfg = ModelConfig(variant=variant, dim=6, head_rank=2, tail_rank=3)
         shapes = relation_array_shapes(cfg)
         for p in init_relation_params(cfg, 2, np.random.default_rng(0)):
-            view = {} if p is None else p.arrays()
-            assert [(n, a.shape) for n, a in view.items()] == list(shapes.items())
+            assert [(n, a.shape) for n, a in p.arrays().items()] == list(shapes.items())
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_rebuilt_bundles_share_the_arrays(self, variant):
@@ -336,9 +338,8 @@ class TestRelationArrays:
         )
         assert [type(p) for p in rebuilt] == [type(p) for p in params]
         for p, q in zip(params, rebuilt):
-            if p is not None:
-                for a, b in zip(p.arrays().values(), q.arrays().values()):
-                    assert a is b
+            for a, b in zip(p.arrays().values(), q.arrays().values()):
+                assert a is b
 
     @pytest.mark.parametrize("variant", ["lowrank", "transe", "transh", "se", "transr"])
     def test_gradients_come_in_view_order(self, variant):
@@ -347,12 +348,7 @@ class TestRelationArrays:
         h, t, ch, ct, r = (rng.standard_normal(5) for _ in range(5))
         g = knowledge_loss_grad(cfg, params, h, t, ch, ct, r, margin=1e6)
         assert g.active
-        if params is None:
-            assert g.params is None
-        else:
-            assert [a.shape for a in g.params] == [
-                a.shape for a in params.arrays().values()
-            ]
+        assert [a.shape for a in g.params] == [a.shape for a in params.arrays().values()]
 
 
 class TestInitRelationParams:
@@ -361,16 +357,16 @@ class TestInitRelationParams:
         cfg = ModelConfig(variant="lowrank", dim=6, head_rank=2, tail_rank=3)
         params = init_relation_params(cfg, 4, rng)
         assert len(params) == 4
-        assert params[0].head_proj.rank_bound == 2
-        assert params[0].tail_proj.rank_bound == 3
+        assert len(params[0].head_proj.weights) == 2
+        assert len(params[0].tail_proj.weights) == 3
 
         transh = init_relation_params(ModelConfig(variant="transh", dim=6), 2, rng)
         assert all(abs(np.linalg.norm(p.normal) - 1) < 1e-12 for p in transh)
 
         assert init_relation_params(ModelConfig(variant="transe", dim=6), 3, rng) == [
-            None,
-            None,
-            None,
+            TransERelation(),
+            TransERelation(),
+            TransERelation(),
         ]
         assert init_relation_params(ModelConfig(variant="sg", dim=6), 3, rng) == []
 

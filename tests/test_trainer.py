@@ -20,10 +20,10 @@ from kgvec.trainer import (
     _sgd_text_block,
     init_state,
     load_checkpoint,
-    lr_at,
     save_checkpoint,
     train,
 )
+from oracles import lr_at
 from synthdata import translation_fixture
 
 
@@ -51,6 +51,21 @@ class TestLrSchedule:
             lr_at(-1, 10, 0.025)
         with pytest.raises(ValueError):
             lr_at(11, 10, 0.025)
+
+    def test_trainer_follows_the_schedule(self, world, monkeypatch):
+        tokens, vocab, _ = world
+        seen = []
+
+        def record(store, centers, contexts, negatives, lr):
+            seen.append(lr)
+            return 0.0
+
+        monkeypatch.setattr("kgvec.trainer._sgd_text_block", record)
+        tc = TrainConfig(alpha=0.0, epochs=2, window=2, seed=3)
+        train(tokens, vocab, None, small_model("sg"), tc)
+        total = tc.epochs * len(context_pair_arrays(vocab.encode(tokens), tc.window)[0])
+        want = [lr_at(s, total, tc.initial_lr) for s in range(total)]
+        assert np.concatenate(seen).tolist() == want
 
 
 class TestTrainConfig:
@@ -230,10 +245,9 @@ class TestCheckpoint:
         assert len(loaded.params) == len(state.params)
         for p1, p2 in zip(loaded.params, state.params):
             assert type(p1) is type(p2)
-            if p2 is not None:
-                v1, v2 = p1.arrays(), p2.arrays()
-                assert list(v1) == list(v2)
-                assert all(same_bits(v1[name], v2[name]) for name in v2)
+            v1, v2 = p1.arrays(), p2.arrays()
+            assert list(v1) == list(v2)
+            assert all(same_bits(v1[name], v2[name]) for name in v2)
         again = tmp_path / "again.kgv"
         save_checkpoint(loaded, again)
         assert again.read_bytes() == path.read_bytes()
