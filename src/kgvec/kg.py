@@ -14,7 +14,8 @@ from .errors import CorruptionExhaustedError, EmptyKGError, ParseError
 if TYPE_CHECKING:
     from .corpus import Vocabulary
 
-CORRUPT_MODES = ("head", "tail", "uniform-either")
+# Draws corrupt_triple makes before it gives up.
+CORRUPT_ATTEMPTS = 100
 
 
 @dataclass
@@ -178,38 +179,29 @@ def compute_mapping_stats(triple_set: TripleSet) -> MappingStats:
 
 
 def corrupt_triple(
-    triple: tuple[int, int, int],
-    triple_set: TripleSet,
-    mode: str = "uniform-either",
-    rng: np.random.Generator | None = None,
-    max_attempts: int = 100,
+    triple: tuple[int, int, int], triple_set: TripleSet, rng: np.random.Generator
 ) -> tuple[int, int, int]:
     """Produce a negative triple by replacing its head or its tail.
 
-    The replacement is drawn uniformly over all entities.  Draws that
-    reproduce the input or hit a known-true triple are rejected and retried
-    up to ``max_attempts`` times.
+    A fair coin picks the side and the replacement is drawn uniformly over
+    all entities (Bordes et al., 2013).  Draws that reproduce the input or
+    hit a known-true triple are rejected and retried, up to
+    ``CORRUPT_ATTEMPTS`` draws in all.
     """
-    if mode not in CORRUPT_MODES:
-        raise ValueError(f"mode must be one of {CORRUPT_MODES}, got {mode!r}")
-    if rng is None:
-        raise ValueError("corrupt_triple requires an rng")
     n_ent = triple_set.n_entities
     if n_ent < 2:
         raise ValueError("need at least 2 entities to corrupt")
 
     h, r, t = (int(x) for x in triple)
-    for _ in range(max_attempts):
-        slot = mode
-        if mode == "uniform-either":
-            slot = "head" if rng.integers(2) == 0 else "tail"
+    for _ in range(CORRUPT_ATTEMPTS):
+        head_side = rng.integers(2) == 0
         cand = int(rng.integers(n_ent))
-        if slot == "head":
+        if head_side:
             corrupted, changed = (cand, r, t), cand != h
         else:
             corrupted, changed = (h, r, cand), cand != t
         if changed and corrupted not in triple_set.triple_index:
             return corrupted
     raise CorruptionExhaustedError(
-        f"no valid corruption of {triple} found in {max_attempts} attempts"
+        f"no valid corruption of {triple} found in {CORRUPT_ATTEMPTS} attempts"
     )

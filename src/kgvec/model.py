@@ -478,7 +478,6 @@ def knowledge_loss_grad(
     corrupt_head: np.ndarray,
     corrupt_tail: np.ndarray,
     relation: np.ndarray,
-    margin: float | None = None,
 ) -> KnowledgeGrads:
     """Hinge loss [margin + f(golden) - f(corrupted)]_+ and its gradients.
 
@@ -486,12 +485,9 @@ def knowledge_loss_grad(
     relation vector and relation parameters collect contributions from both
     scores.  An inactive hinge returns no gradients at all.
     """
-    gamma = config.margin if margin is None else margin
-    if gamma <= 0:
-        raise ValueError("margin must be > 0")
     f_golden = score_triple(config, params, head, relation, tail)
     f_corrupt = score_triple(config, params, corrupt_head, relation, corrupt_tail)
-    loss = gamma + f_golden - f_corrupt
+    loss = config.margin + f_golden - f_corrupt
     if loss <= 0.0:
         return KnowledgeGrads(0.0, False, None, None, None, None, None)
     if not np.isfinite(loss):

@@ -6,12 +6,13 @@ margin ranking loss), otherwise one text update (a (center, context) pair
 against ``negatives`` sampled noise words).  ``alpha = 0`` is plain
 skip-gram, ``alpha = 1`` trains the knowledge model alone.  The learning
 rate decays linearly to a 1e-4 floor over the scheduled step budget.
-Micro-steps run in blocks of ``BLOCK``; see :class:`_Worker`.
+Micro-steps run in blocks of ``BLOCK``; see :func:`train`.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import time
@@ -22,14 +23,13 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import (
-    NegativeSampler,
     Vocabulary,
     build_negative_table,
     context_pair_arrays,
     _subsample_ids,
 )
 from .errors import CheckpointError, ConfigError, NumericError
-from .kg import CORRUPT_MODES, TripleSet, corrupt_triple
+from .kg import TripleSet, corrupt_triple
 from .model import (
     EmbeddingStore,
     ModelConfig,
@@ -43,7 +43,7 @@ from .model import (
 )
 
 LR_FLOOR = 1e-4
-# Micro-steps per block; see _Worker.
+# Micro-steps per block; see train.
 BLOCK = 256
 
 CHECKPOINT_MAGIC = b"KGVECBIN"
@@ -64,24 +64,19 @@ class TrainConfig:
     window: int = 5
     seed: int = 1
     subsample: float = 0.0
-    power: float = 0.75
-    table_size: int = 1_000_000
     use_float32: bool = False
-    corrupt_mode: str = "uniform-either"
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError(f"alpha must be in [0, 1], got {self.alpha}")
-        if self.initial_lr <= 0:
-            raise ConfigError("initial_lr must be > 0")
+        if not 0.0 < self.initial_lr < math.inf:
+            raise ConfigError(f"initial_lr must be finite and > 0, got {self.initial_lr}")
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
         if self.window < 1:
             raise ConfigError("window must be >= 1")
-        if self.corrupt_mode not in CORRUPT_MODES:
-            raise ConfigError(
-                f"corrupt_mode must be one of {CORRUPT_MODES}, got {self.corrupt_mode!r}"
-            )
+        if not 0.0 <= self.subsample < math.inf:
+            raise ConfigError(f"subsample must be finite and >= 0, got {self.subsample}")
 
 
 @dataclass
@@ -170,6 +165,12 @@ def train(
     ``alpha == 1``); ``triples`` may be None when ``alpha == 0``.  The step
     budget is ``epochs`` times the number of context pairs, falling back to
     ``epochs * len(triples)`` for corpus-free knowledge-only runs.
+
+    One SGD stream runs the micro-steps in blocks of ``BLOCK``.  A block
+    draws its objective coins at once, applies all of its text steps as one
+    batched update taken at the block-start parameters, then its knowledge
+    steps one by one.  A non-finite loss in a block raises ``NumericError``
+    naming the block's step range.
     """
     mc, tc = model_config, train_config
     use_text = tc.alpha < 1.0
@@ -179,7 +180,7 @@ def train(
 
     root = np.random.SeedSequence(tc.seed)
     # Child 0 is reserved for init_state so the layout is stable.
-    _, stream_seed, worker_seed = root.spawn(3)
+    _, stream_seed, step_seed = root.spawn(3)
 
     state = init_state(
         vocab, triples.relation_names if triples is not None else [], mc, tc
@@ -209,148 +210,100 @@ def train(
         else np.empty(0, dtype=np.int64)
     )
 
-    sampler = build_negative_table(vocab, tc.power, tc.table_size) if use_text else None
+    table = build_negative_table(vocab).table if use_text else None
 
     steps_per_epoch = n_pairs if n_pairs > 0 else len(triples)
     total_steps = tc.epochs * steps_per_epoch
-    worker = _Worker(
-        rng=np.random.default_rng(worker_seed),
-        state=state,
-        sampler=sampler,
-        centers=centers,
-        contexts=contexts,
-        triples=triples,
-        entity_rows=entity_rows,
-        total_steps=total_steps,
-    )
+    rng = np.random.default_rng(step_seed)
+    order = _triple_order(triples, rng)
+    text_cursor = 0
 
     report = TrainReport(alpha=tc.alpha)
     for epoch in range(tc.epochs):
         started = time.perf_counter()
-        worker.run(epoch * steps_per_epoch, steps_per_epoch)
-        text_loss = worker.text_loss / max(worker.text_steps, 1)
-        kg_loss = worker.kg_loss / max(worker.kg_steps, 1)
-        combined = (1.0 - tc.alpha) * text_loss + tc.alpha * kg_loss
+        text_loss = kg_loss = 0.0
+        text_steps = kg_steps = 0
+        epoch_end = (epoch + 1) * steps_per_epoch
+        for first in range(epoch * steps_per_epoch, epoch_end, BLOCK):
+            steps = np.arange(first, min(first + BLOCK, epoch_end))
+            lr = tc.initial_lr * np.maximum(1.0 - steps / total_steps, LR_FLOOR)
+            if use_text and use_kg:
+                is_kg = rng.random(len(steps)) < tc.alpha
+            else:
+                is_kg = np.full(len(steps), use_kg)
+            try:
+                if not is_kg.all():
+                    text_lr = lr[~is_kg]
+                    n = len(text_lr)
+                    rows = (text_cursor + np.arange(n)) % n_pairs
+                    text_cursor = (text_cursor + n) % n_pairs
+                    negs = table[rng.integers(0, len(table), size=n * mc.negatives)]
+                    loss = _sgd_text_block(
+                        store, centers[rows], contexts[rows], negs, text_lr
+                    )
+                    if not np.isfinite(loss):
+                        raise NumericError("non-finite text loss")
+                    text_loss += loss
+                    text_steps += n
+                kg_lr = lr[is_kg].tolist()
+                for step_lr in kg_lr:
+                    index = next(order)
+                    kg_loss += _kg_step(state, triples, entity_rows, index, rng, step_lr)
+                kg_steps += len(kg_lr)
+            except NumericError as exc:
+                raise NumericError(f"{exc} in steps {steps[0]}..{steps[-1]}") from exc
+        text_loss /= max(text_steps, 1)
+        kg_loss /= max(kg_steps, 1)
         report.rows.append(
             EpochStats(
                 epoch,
                 text_loss,
                 kg_loss,
-                combined,
-                worker.text_steps,
-                worker.kg_steps,
+                (1.0 - tc.alpha) * text_loss + tc.alpha * kg_loss,
+                text_steps,
+                kg_steps,
                 time.perf_counter() - started,
             )
         )
-        worker.reset_epoch()
         store.check_finite()
         _check_params_finite(state.params)
 
     return state, report
 
 
-class _Worker:
-    """The single SGD stream over the parameter arrays.
+def _triple_order(triples: TripleSet, rng: np.random.Generator):
+    """Triple indices, a fresh permutation drawn whenever one runs out."""
+    while True:
+        yield from rng.permutation(len(triples))
 
-    Micro-steps run in blocks of ``BLOCK``.  A block draws its objective
-    coins at once, applies all of its text steps as one batched update taken
-    at the block-start parameters, then its knowledge steps one by one.
-    """
 
-    def __init__(
-        self,
-        rng: np.random.Generator,
-        state: ModelState,
-        sampler: NegativeSampler | None,
-        centers: np.ndarray,
-        contexts: np.ndarray,
-        triples: TripleSet | None,
-        entity_rows: np.ndarray,
-        total_steps: int,
-    ):
-        self.rng = rng
-        self.state = state
-        self.sampler = sampler
-        self.centers = centers
-        self.contexts = contexts
-        self.triples = triples
-        self.entity_rows = entity_rows
-        self.total_steps = total_steps
-        self.alpha = state.train_config.alpha
-        self.negatives = state.model_config.negatives
-        self.lr0 = state.train_config.initial_lr
-        self.corrupt_mode = state.train_config.corrupt_mode
-        self.text_cursor = 0
-        self.kg_order = np.empty(0, dtype=np.int64)
-        self.kg_cursor = 0
-        self.reset_epoch()
+def _kg_step(
+    state: ModelState,
+    triples: TripleSet,
+    entity_rows: np.ndarray,
+    index: int,
+    rng: np.random.Generator,
+    lr: float,
+) -> float:
+    """One knowledge micro-step on triple ``index`` against one corruption;
+    returns its hinge loss."""
+    h, r, t = triples.triples[index]
+    ch, _, ct = corrupt_triple((h, r, t), triples, rng)
 
-    def reset_epoch(self) -> None:
-        self.text_loss = 0.0
-        self.kg_loss = 0.0
-        self.text_steps = 0
-        self.kg_steps = 0
-
-    def run(self, step_base: int, n_steps: int) -> None:
-        alpha = self.alpha
-        use_text = alpha < 1.0 and len(self.centers) > 0
-        use_kg = alpha > 0.0
-        for first in range(step_base, step_base + n_steps, BLOCK):
-            steps = np.arange(first, min(first + BLOCK, step_base + n_steps))
-            lr = self.lr0 * np.maximum(1.0 - steps / self.total_steps, LR_FLOOR)
-            if use_text and use_kg:
-                is_kg = self.rng.random(len(steps)) < alpha
-            else:
-                is_kg = np.full(len(steps), use_kg)
-            if not is_kg.all():
-                self._text_block(lr[~is_kg], steps[0], steps[-1])
-            for step_lr in lr[is_kg].tolist():
-                self._kg_step(step_lr)
-
-    # -- the text steps of one block ----------------------------------------
-    def _text_block(self, lr: np.ndarray, first: int, last: int) -> None:
-        n = len(lr)
-        rows = (self.text_cursor + np.arange(n)) % len(self.centers)
-        self.text_cursor = (self.text_cursor + n) % len(self.centers)
-        table = self.sampler.table
-        negs = table[self.rng.integers(0, len(table), size=n * self.negatives)]
-        loss = _sgd_text_block(
-            self.state.store, self.centers[rows], self.contexts[rows], negs, lr
-        )
-        if not np.isfinite(loss):
-            raise NumericError(f"non-finite text loss in steps {first}..{last}")
-        self.text_loss += loss
-        self.text_steps += n
-
-    # -- one knowledge micro-step -------------------------------------------
-    def _kg_step(self, lr: float) -> None:
-        if self.kg_cursor >= len(self.kg_order):
-            self.kg_order = self.rng.permutation(len(self.triples))
-            self.kg_cursor = 0
-        h, r, t = self.triples.triples[self.kg_order[self.kg_cursor]]
-        self.kg_cursor += 1
-        ch, _, ct = corrupt_triple(
-            (h, r, t), self.triples, self.corrupt_mode, self.rng
-        )
-
-        store = self.state.store
-        rows = self.entity_rows
-        hr, tr = rows[h], rows[t]
-        chr_, ctr = rows[ch], rows[ct]
-        params = self.state.params[r]
-        g = knowledge_loss_grad(
-            self.state.model_config,
-            params,
-            store.input_vectors[hr],
-            store.input_vectors[tr],
-            store.input_vectors[chr_],
-            store.input_vectors[ctr],
-            store.relation_vectors[r],
-        )
-        self.kg_loss += g.loss
-        self.kg_steps += 1
-        if not g.active:
-            return
+    store = state.store
+    hr, tr = entity_rows[h], entity_rows[t]
+    chr_, ctr = entity_rows[ch], entity_rows[ct]
+    params = state.params[r]
+    g = knowledge_loss_grad(
+        state.model_config,
+        params,
+        store.input_vectors[hr],
+        store.input_vectors[tr],
+        store.input_vectors[chr_],
+        store.input_vectors[ctr],
+        store.relation_vectors[r],
+    )
+    if g.active:
         # Rows may coincide (one slot is shared with the golden triple);
         # sequential in-place updates accumulate correctly.
         store.input_vectors[hr] -= lr * g.head
@@ -359,6 +312,7 @@ class _Worker:
         store.input_vectors[ctr] -= lr * g.corrupt_tail
         store.relation_vectors[r] -= lr * g.relation
         _apply_param_update(params, g.params, lr)
+    return g.loss
 
 
 def _sgd_text_block(
@@ -504,7 +458,9 @@ def _raw_bytes(a: np.ndarray) -> np.ndarray:
 
 
 # Train-config keys of earlier releases; a header that has them still loads.
-_RETIRED_TRAIN_KEYS = ("workers", "deterministic")
+_RETIRED_TRAIN_KEYS = (
+    "workers", "deterministic", "power", "table_size", "corrupt_mode"
+)
 
 
 def _checked_section(path, what: str, section, keys) -> dict:

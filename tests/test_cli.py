@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 
 import numpy as np
@@ -17,6 +18,7 @@ from kgvec.model import (
 )
 from kgvec.projection import LowRankProjection
 from kgvec.trainer import (
+    BLOCK,
     CHECKPOINT_MAGIC,
     ModelState,
     TrainConfig,
@@ -232,6 +234,20 @@ class TestTrain:
                        "--lr", "1e6", "--epochs", "1",
                        "--checkpoint", str(tmp_path / "x.kgv")])
         assert rc == 3
+        # the message names the block of steps the divergence happened in
+        err = capsys.readouterr().err
+        match = re.search(r"in steps (\d+)\.\.(\d+)", err)
+        assert match, err
+        first, last = int(match[1]), int(match[2])
+        assert first % BLOCK == 0 and first <= last < first + BLOCK
+
+    def test_negative_subsample_is_usage_error(self, tmp_path, corpus_file,
+                                               triples_file, capsys):
+        rc = main(["train", "--corpus", corpus_file, "--triples", triples_file,
+                   "--min-count", "1", "--subsample", "-1",
+                   "--checkpoint", str(tmp_path / "x.kgv")])
+        assert rc == 1
+        assert "subsample" in capsys.readouterr().err
 
 
 def perfect_analogy_state():
@@ -505,14 +521,20 @@ class TestCheckpointHeaders:
         save_checkpoint(state, ck)
         assert (load_checkpoint(ck).store.output_vectors == 1e300).all()
 
-    def test_header_with_retired_worker_keys_loads(self, tmp_path, checkpoint):
-        rewrite_header(
-            checkpoint, lambda h: h["train"].update(workers=4, deterministic=False)
-        )
-        assert load_checkpoint(checkpoint).train_config == TrainConfig()
-        out = tmp_path / "v.txt"
-        assert main(["export", "--checkpoint", str(checkpoint), "--output", str(out)]) == 0
-        assert load_embeddings_text(out)[0] == perfect_analogy_state().vocab.tokens
+    def test_header_with_retired_worker_keys_loads(self, tmp_path):
+        # train-config keys of earlier releases: the worker options, and the
+        # negative-table and corruption settings that nothing set
+        for i, retired in enumerate([
+            {"workers": 4, "deterministic": False},
+            {"power": 0.75, "table_size": 1_000_000, "corrupt_mode": "uniform-either"},
+        ]):
+            checkpoint = tmp_path / f"model{i}.kgv"
+            save_checkpoint(perfect_analogy_state(), checkpoint)
+            rewrite_header(checkpoint, lambda h: h["train"].update(retired))
+            assert load_checkpoint(checkpoint).train_config == TrainConfig()
+            out = tmp_path / f"v{i}.txt"
+            assert main(["export", "--checkpoint", str(checkpoint), "--output", str(out)]) == 0
+            assert load_embeddings_text(out)[0] == perfect_analogy_state().vocab.tokens
 
 
 class TestUsage:

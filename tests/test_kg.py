@@ -142,18 +142,12 @@ class TestMappingStats:
 
 
 class TestCorruptTriple:
-    def test_single_legal_corruption(self):
-        ts = make_triple_set([(0, 0, 1)], 2, 1)
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            assert corrupt_triple((0, 0, 1), ts, "head", rng) == (1, 0, 1)
-
     def test_differs_in_exactly_one_slot(self):
         rng = np.random.default_rng(1)
         ts = make_triple_set([(0, 0, 1), (2, 1, 3), (4, 0, 0)], 5, 2)
         for triple in [(0, 0, 1), (2, 1, 3), (4, 0, 0)]:
             for _ in range(50):
-                out = corrupt_triple(triple, ts, "uniform-either", rng)
+                out = corrupt_triple(triple, ts, rng)
                 diffs = sum(a != b for a, b in zip(out, triple))
                 assert diffs == 1
                 assert out not in ts.triple_index
@@ -163,7 +157,7 @@ class TestCorruptTriple:
         ts = make_triple_set(rows, 2, 1)
         rng = np.random.default_rng(2)
         with pytest.raises(CorruptionExhaustedError):
-            corrupt_triple((0, 0, 0), ts, "uniform-either", rng)
+            corrupt_triple((0, 0, 0), ts, rng)
 
     def test_every_legal_corruption_appears_and_sides_balance(self):
         # 4 entities, one golden triple: legal = 3 head swaps + 3 tail swaps
@@ -173,7 +167,7 @@ class TestCorruptTriple:
         seen = {}
         heads = 0
         for _ in range(n):
-            out = corrupt_triple((0, 0, 1), ts, "uniform-either", rng)
+            out = corrupt_triple((0, 0, 1), ts, rng)
             seen[out] = seen.get(out, 0) + 1
             if out[0] != 0:
                 heads += 1
@@ -182,17 +176,7 @@ class TestCorruptTriple:
         sigma = np.sqrt(0.25 * n)
         assert abs(heads - n / 2) <= 3 * sigma
 
-    def test_relation_mode_rejected(self):
-        ts = make_triple_set([(0, 0, 1), (0, 1, 1)], 2, 3)
-        with pytest.raises(ValueError):
-            corrupt_triple((0, 0, 1), ts, "relation", np.random.default_rng(4))
-
     def test_needs_two_entities(self):
         ts = make_triple_set([(0, 0, 0)], 1, 1)
         with pytest.raises(ValueError):
-            corrupt_triple((0, 0, 0), ts, "head", np.random.default_rng(0))
-
-    def test_bad_mode_rejected(self):
-        ts = make_triple_set([(0, 0, 1)], 2, 1)
-        with pytest.raises(ValueError):
-            corrupt_triple((0, 0, 1), ts, "sideways", np.random.default_rng(0))
+            corrupt_triple((0, 0, 0), ts, np.random.default_rng(0))

@@ -73,9 +73,21 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             TrainConfig(alpha=1.5)
 
-    def test_relation_corruption_not_trainable(self):
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"initial_lr": 0.0},
+            {"initial_lr": -0.1},
+            {"initial_lr": float("nan")},
+            {"initial_lr": float("inf")},
+            {"subsample": -1.0},
+            {"subsample": float("nan")},
+            {"subsample": float("inf")},
+        ],
+    )
+    def test_bad_rate_rejected(self, bad):
         with pytest.raises(ConfigError):
-            TrainConfig(corrupt_mode="relation")
+            TrainConfig(**bad)
 
 
 class TestDegenerateMixes:

@@ -6,9 +6,11 @@ Writes a small synthetic corpus and triple file (``relation_world`` from
 ``tests/synthdata.py``: three relations, joint text and knowledge) to a
 temporary directory, then runs ``kgvec train`` in-process through
 ``kgvec.cli.main`` for all six variants in float64 and float32 at a fixed
-seed.  For each run it prints the variant, the float mode, the checkpoint's
-SHA-256 and the final combined loss (``repr``, so every bit shows).  One
-process, no threads, about 8 s on a 2-vCPU host.
+seed.  For each run it prints the variant, the float mode, the SHA-256 of
+the checkpoint's JSON header, the SHA-256 of its array bytes (everything
+after the header) and the final combined loss (``repr``, so every bit
+shows).  A change that only adds or drops header keys then still shows the
+arrays bitwise equal.  One process, no threads, about 8 s on a 2-vCPU host.
 
 Run from the repository root, once for each tree to compare:
 
@@ -22,6 +24,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import struct
 import sys
 import tempfile
 from pathlib import Path
@@ -32,6 +35,7 @@ from synthdata import relation_world  # noqa: E402
 
 import kgvec.cli  # noqa: E402
 from kgvec.model import VARIANTS  # noqa: E402
+from kgvec.trainer import CHECKPOINT_MAGIC  # noqa: E402
 
 
 def _write_world(root: Path) -> tuple[Path, Path]:
@@ -68,6 +72,17 @@ def _train(argv: list[str]):
     return reports[0]
 
 
+def _split(data: bytes) -> tuple[bytes, bytes]:
+    """A checkpoint's magic, version and JSON header, and its array bytes."""
+    (blob_len,) = struct.unpack_from("<I", data, len(CHECKPOINT_MAGIC) + 4)
+    end = len(CHECKPOINT_MAGIC) + 8 + blob_len
+    return data[:end], data[end:]
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
@@ -84,9 +99,12 @@ def main() -> None:
                     "--epochs", "2", "--window", "2",
                     "--seed", "11", "--float32", float32,
                 ])
-                digest = hashlib.sha256(ckpt.read_bytes()).hexdigest()
+                header, arrays = _split(ckpt.read_bytes())
                 mode = "float32" if float32 == "true" else "float64"
-                print(f"{variant}\t{mode}\t{digest}\t{report.final_combined!r}")
+                print(
+                    f"{variant}\t{mode}\theader {_sha(header)}"
+                    f"\tarrays {_sha(arrays)}\t{report.final_combined!r}"
+                )
 
 
 if __name__ == "__main__":

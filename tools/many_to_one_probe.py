@@ -57,15 +57,16 @@ CONSTRAINTS = {
 
 
 def _constrained_step(before, after):
-    plain = trainer._Worker._kg_step
+    plain = trainer._kg_step
 
-    def step(worker, lr):
-        vectors, rows = worker.state.store.input_vectors, worker.entity_rows
+    def step(state, triples, entity_rows, index, rng, lr):
+        vectors = state.store.input_vectors
         if before is not None:
-            vectors[rows] = before(vectors[rows])
-        plain(worker, lr)
+            vectors[entity_rows] = before(vectors[entity_rows])
+        loss = plain(state, triples, entity_rows, index, rng, lr)
         if after is not None:
-            vectors[rows] = after(vectors[rows])
+            vectors[entity_rows] = after(vectors[entity_rows])
+        return loss
 
     return step
 
@@ -107,14 +108,14 @@ def main(argv: list[str] | None = None) -> None:
     seeds = parser.parse_args(argv).seeds
 
     names = ["hinge", "residual", "head dist", "proj head dist", "kernel share"]
-    plain = trainer._Worker._kg_step
+    plain = trainer._kg_step
     rows = [("transe", name) for name in CONSTRAINTS] + [("lowrank", "none")]
     for variant, constraint in rows:
-        trainer._Worker._kg_step = _constrained_step(*CONSTRAINTS[constraint])
+        trainer._kg_step = _constrained_step(*CONSTRAINTS[constraint])
         try:
             table = np.array([_outcome(variant, seed) for seed in seeds])
         finally:
-            trainer._Worker._kg_step = plain
+            trainer._kg_step = plain
         cells = "  ".join(
             f"{name} {lo:.4f}-{hi:.4f}" if name == "hinge" else f"{name} {lo:.3f}-{hi:.3f}"
             for name, lo, hi in zip(names, table.min(axis=0), table.max(axis=0))
