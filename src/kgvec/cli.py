@@ -10,6 +10,8 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import evaluation
 from .corpus import (
     PhraseIndex,
@@ -76,7 +78,10 @@ def main(argv: list[str] | None = None) -> int:
         print(exc, file=sys.stderr)
         return EXIT_USAGE
     try:
-        return args.func(args)
+        # A diverging run overflows before the finite checks see it; the
+        # NumericError they raise is the one report of that.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except (_UsageError, ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

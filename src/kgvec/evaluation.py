@@ -193,14 +193,18 @@ class RelationalAnalogy:
     """Two-step predictor: pick r* minimizing the (a, b) triple score, then
     rank every candidate w by the (c, r*, w) score.
 
-    Each relation's projected candidates ``P`` and their squared row norms
-    are computed on first use and cached, so a question costs one
+    The dense head and tail maps are stacked into two ``(R, d, d)`` arrays,
+    so picking r* is one batched product, memoised per (a, b).  Each
+    relation's projected candidates ``P`` and their squared row norms are
+    computed on first use and cached, so a question costs one
     matrix-vector product: ``|P_w - t|^2 = |P_w|^2 - 2 P_w . t + |t|^2``.
-    That sum can round differently from a direct difference scan, so the
-    two may pick different answers only among candidates whose scores tie
-    within rounding.  Only states whose relation bundles have dense head and
-    tail maps qualify; construct via :func:`make_analogy_predictor` to get
-    the fallback logic.
+    Batched sums can round differently from a relation-by-relation or
+    direct difference scan, so answers may differ only where two relations'
+    fits or two candidates' scores tie within rounding.  Every cache lives
+    as long as the predictor: build a new one after the vectors change.
+    Only states whose relation bundles have dense head and tail maps
+    qualify; construct via :func:`make_analogy_predictor` to get the
+    fallback logic.
     """
 
     def __init__(self, state: ModelState):
@@ -211,10 +215,12 @@ class RelationalAnalogy:
         self.vocab = state.vocab
         self.vectors = state.store.input_vectors
         self.relation_vectors = state.store.relation_vectors
-        maps = [p.dense_maps() for p in state.params]
-        self.head_maps = [head for head, _ in maps]
-        self.tail_maps = [tail for _, tail in maps]
+        shape = (len(state.params), self.vectors.shape[1], self.vectors.shape[1])
+        self.head_maps, self.tail_maps = np.empty(shape), np.empty(shape)
+        for r, p in enumerate(state.params):
+            self.head_maps[r], self.tail_maps[r] = p.dense_maps()
         self._projected: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._best: dict[tuple[str, str], int] = {}
 
     def _projected_tails(self, r: int) -> tuple[np.ndarray, np.ndarray]:
         """Relation ``r``'s projected candidates and their squared norms."""
@@ -225,13 +231,13 @@ class RelationalAnalogy:
 
     def best_relation(self, a: str, b: str) -> int:
         """Index of the relation whose projections best explain (a, b)."""
-        va = self.vectors[self.vocab.index[a]]
-        vb = self.vectors[self.vocab.index[b]]
-        fits = [
-            _sq(self.head_maps[r] @ va + self.relation_vectors[r] - self.tail_maps[r] @ vb)
-            for r in range(len(self.head_maps))
-        ]
-        return int(np.argmin(fits))
+        if (a, b) not in self._best:
+            va = self.vectors[self.vocab.index[a]]
+            vb = self.vectors[self.vocab.index[b]]
+            e = (np.tensordot(self.head_maps, va, 1) + self.relation_vectors
+                 - np.tensordot(self.tail_maps, vb, 1))
+            self._best[a, b] = int(np.argmin(np.einsum("ij,ij->i", e, e)))
+        return self._best[a, b]
 
     def __call__(self, a: str, b: str, c: str) -> str:
         ia, ib, ic = (self.vocab.index[t] for t in (a, b, c))

@@ -22,6 +22,7 @@ test suite.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -60,14 +61,18 @@ class ModelConfig:
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+        for name in ("dim", "head_rank", "tail_rank", "negatives"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
         if self.variant == "lowrank" and not (
             1 <= self.head_rank <= self.dim and 1 <= self.tail_rank <= self.dim
         ):
             raise ValueError("rank bounds must satisfy 1 <= m <= dim")
-        if self.margin <= 0:
-            raise ValueError("margin must be > 0")
+        if not 0 < self.margin < math.inf:
+            raise ValueError(f"margin must be finite and > 0, got {self.margin!r}")
         if self.negatives < 1:
             raise ValueError("negatives must be >= 1")
 

@@ -4,7 +4,9 @@ Each is the plain, slow form of something kgvec does in vectorised or
 binary form: the generator of skip-gram pairs behind
 ``kgvec.corpus.context_pair_arrays``, a reader for the word2vec text
 files ``kgvec.model.save_embeddings_text`` writes, the per-step form of the
-trainer's learning-rate schedule, and the identity map in factor form.
+trainer's learning-rate schedule, the identity map in factor form, and the
+relation-by-relation search behind
+``kgvec.evaluation.RelationalAnalogy.best_relation``.
 """
 
 from __future__ import annotations
@@ -91,3 +93,16 @@ def identity_projection(d: int) -> LowRankProjection:
     """Full-rank identity map in factor form."""
     eye = np.eye(d)
     return LowRankProjection(np.ones(d), eye.copy(), eye.copy())
+
+
+def best_relation_loop(state, a: str, b: str) -> tuple[int, list[float]]:
+    """The relation whose dense maps best explain (a, b), one relation at a
+    time, and every relation's fit ``||A a + r - B b||^2``."""
+    index, vectors = state.vocab.index, state.store.input_vectors
+    va, vb = vectors[index[a]], vectors[index[b]]
+    fits = []
+    for p, rel in zip(state.params, state.store.relation_vectors):
+        head, tail = p.dense_maps()
+        e = head @ va + rel - tail @ vb
+        fits.append(float(e @ e))
+    return int(np.argmin(fits)), fits

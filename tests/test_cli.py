@@ -1,6 +1,7 @@
 import json
 import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -241,6 +242,30 @@ class TestTrain:
         first, last = int(match[1]), int(match[2])
         assert first % BLOCK == 0 and first <= last < first + BLOCK
 
+    def test_diverging_run_reports_only_the_numeric_error(self, tmp_path, corpus_file,
+                                                          triples_file, capsys):
+        # no numpy RuntimeWarning (with its library path) precedes the report
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["train", "--corpus", corpus_file, "--triples", triples_file,
+                       "--min-count", "1", "--dim", "8", "--alpha", "0.9",
+                       "--lr", "1e6", "--epochs", "1",
+                       "--checkpoint", str(tmp_path / "x.kgv")])
+        assert rc == 3
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"numeric error: .* in steps \d+\.\.\d+\n", err), err
+
+    @pytest.mark.parametrize("margin", ["nan", "inf"])
+    def test_non_finite_margin_is_usage_error(self, tmp_path, corpus_file,
+                                              triples_file, capsys, margin):
+        rc = main(["train", "--corpus", corpus_file, "--triples", triples_file,
+                   "--min-count", "1", "--dim", "8", "--margin", margin,
+                   "--checkpoint", str(tmp_path / "x.kgv")])
+        assert rc == 1
+        assert "margin" in capsys.readouterr().err
+        assert not (tmp_path / "x.kgv").exists()
+
     def test_negative_subsample_is_usage_error(self, tmp_path, corpus_file,
                                                triples_file, capsys):
         rc = main(["train", "--corpus", corpus_file, "--triples", triples_file,
@@ -384,6 +409,11 @@ class TestCheckpointHeaders:
             pytest.param(lambda h: h["train"].pop("seed"), id="missing-train-key"),
             pytest.param(lambda h: h["train"].update(alpha=7.0), id="rejected-alpha"),
             pytest.param(lambda h: h["model"].update(dim="wide"), id="rejected-dim"),
+            pytest.param(lambda h: h["model"].update(dim=2.0), id="float-dim"),
+            pytest.param(lambda h: h["model"].update(head_rank=True), id="bool-head-rank"),
+            pytest.param(lambda h: h["model"].update(negatives=1.5), id="float-negatives"),
+            pytest.param(lambda h: h["model"].update(margin=float("nan")), id="nan-margin"),
+            pytest.param(lambda h: h["model"].update(margin=float("inf")), id="inf-margin"),
             pytest.param(lambda h: h["vocab"].pop("counts"), id="missing-vocab-key"),
             pytest.param(lambda h: h["arrays"].pop(0), id="missing-array"),
             pytest.param(lambda h: h["arrays"][0].update(dtype="object"), id="non-float-array"),

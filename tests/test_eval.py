@@ -27,7 +27,7 @@ from kgvec.model import (
 )
 from kgvec.projection import LowRankProjection
 from kgvec.trainer import ModelState, TrainConfig
-from oracles import identity_projection
+from oracles import best_relation_loop, identity_projection
 from synthdata import relation_world
 
 
@@ -322,6 +322,77 @@ class TestRelationalAnalogy:
         state = make_state(vocab, np.eye(2), np.zeros((0, 2)), [], "sg")
         with pytest.raises(ValueError):
             make_analogy_predictor(state, "cosmul")
+
+
+def random_relational_state(rng, variant, n_words=60, n_rel=32, d=16):
+    """Random vectors and ``n_rel`` random relations of ``variant``: rank-4
+    head and rank-12 tail factor maps, or unit TransH normals."""
+    words = [f"w{i:02d}" for i in range(n_words)]
+    if variant == "lowrank":
+        params = [
+            LowRankRelation(
+                LowRankProjection(rng.standard_normal(m), rng.standard_normal((m, d)),
+                                  rng.standard_normal((m, d))),
+                LowRankProjection(rng.standard_normal(n), rng.standard_normal((n, d)),
+                                  rng.standard_normal((n, d))),
+            )
+            for m, n in [(4, 12)] * n_rel
+        ]
+    else:
+        normals = rng.standard_normal((n_rel, d))
+        params = [TransHRelation(w / np.linalg.norm(w)) for w in normals]
+    return make_state(make_vocab(words), rng.standard_normal((n_words, d)),
+                      rng.standard_normal((n_rel, d)), params, variant)
+
+
+def random_pairs(rng, words, n):
+    return [tuple(words[i] for i in rng.choice(len(words), size=2, replace=False))
+            for _ in range(n)]
+
+
+class TestBestRelation:
+    """The stacked, memoised search against the relation-by-relation loop."""
+
+    @pytest.mark.parametrize("variant", ["lowrank", "transh"])
+    def test_matches_loop_oracle_up_to_ties(self, variant):
+        rng = np.random.default_rng(31)
+        for _ in range(3):
+            state = random_relational_state(rng, variant)
+            predictor = RelationalAnalogy(state)
+            for a, b in random_pairs(rng, state.vocab.tokens, 60):
+                want, fits = best_relation_loop(state, a, b)
+                got = predictor.best_relation(a, b)
+                # a different pick is allowed only where the two fits tie
+                assert got == want or fits[got] - fits[want] <= 1e-12 * fits[got]
+
+    def test_returns_python_int(self):
+        state = random_relational_state(np.random.default_rng(32), "lowrank")
+        assert type(RelationalAnalogy(state).best_relation("w00", "w01")) is int
+
+    def test_repeated_pair_is_answered_from_the_memo(self):
+        state = random_relational_state(np.random.default_rng(33), "lowrank")
+        predictor = RelationalAnalogy(state)
+        pairs = random_pairs(np.random.default_rng(34), state.vocab.tokens, 20)
+        answers = [predictor.best_relation(a, b) for a, b in pairs]
+        assert any(answers)  # not all relation 0, which NaN stacks would pick
+        predictor.head_maps.fill(np.nan)
+        predictor.tail_maps.fill(np.nan)
+        assert [predictor.best_relation(a, b) for a, b in pairs] == answers
+        # an unseen pair whose best relation is not 0 does search them
+        unseen = [p for p in random_pairs(np.random.default_rng(35), state.vocab.tokens, 50)
+                  if p not in pairs and best_relation_loop(state, *p)[0]]
+        assert predictor.best_relation(*unseen[0]) == 0
+
+    def test_predictor_built_after_vectors_change_reads_new_vectors(self):
+        rng = np.random.default_rng(36)
+        state = random_relational_state(rng, "lowrank")
+        pairs = random_pairs(rng, state.vocab.tokens, 30)
+        before = [RelationalAnalogy(state).best_relation(a, b) for a, b in pairs]
+        state.store.input_vectors[:] = rng.standard_normal(state.store.input_vectors.shape)
+        fresh = RelationalAnalogy(state)
+        after = [fresh.best_relation(a, b) for a, b in pairs]
+        assert after == [best_relation_loop(state, a, b)[0] for a, b in pairs]
+        assert after != before
 
 
 class TestAnalogySuite:

@@ -39,6 +39,24 @@ class TestModelConfig:
         with pytest.raises(ValueError):
             ModelConfig(variant="transz")
 
+    @pytest.mark.parametrize("margin", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_margin_rejected(self, margin):
+        with pytest.raises(ValueError, match="margin"):
+            ModelConfig(margin=margin)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("dim", 16.0), ("dim", True), ("head_rank", True), ("tail_rank", 2.5),
+         ("negatives", 1.5), ("negatives", True), ("negatives", "5")],
+    )
+    def test_non_integer_shape_fields_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ModelConfig(**{"dim": 4, "head_rank": 2, "tail_rank": 2, field: value})
+
+    def test_numpy_integers_accepted(self):
+        cfg = ModelConfig(dim=np.int64(4), head_rank=np.int32(2), tail_rank=2)
+        assert cfg.dim == 4
+
 
 class TestScoreTriple:
     def test_lowrank_exact_translation_scores_zero(self):
