@@ -329,15 +329,11 @@ def random_relational_state(rng, variant, n_words=60, n_rel=32, d=16):
     head and rank-12 tail factor maps, or unit TransH normals."""
     words = [f"w{i:02d}" for i in range(n_words)]
     if variant == "lowrank":
-        params = [
-            LowRankRelation(
-                LowRankProjection(rng.standard_normal(m), rng.standard_normal((m, d)),
-                                  rng.standard_normal((m, d))),
-                LowRankProjection(rng.standard_normal(n), rng.standard_normal((n, d)),
-                                  rng.standard_normal((n, d))),
-            )
-            for m, n in [(4, 12)] * n_rel
-        ]
+        def projection(m):
+            return LowRankProjection(rng.standard_normal(m), rng.standard_normal((m, d)),
+                                     rng.standard_normal((m, d)))
+
+        params = [LowRankRelation(projection(4), projection(12)) for _ in range(n_rel)]
     else:
         normals = rng.standard_normal((n_rel, d))
         params = [TransHRelation(w / np.linalg.norm(w)) for w in normals]
