@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import struct
 import time
@@ -47,7 +48,7 @@ LR_FLOOR = 1e-4
 BLOCK = 256
 
 CHECKPOINT_MAGIC = b"KGVECBIN"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass
@@ -71,10 +72,16 @@ class TrainConfig:
             raise ConfigError(f"alpha must be in [0, 1], got {self.alpha}")
         if not 0.0 < self.initial_lr < math.inf:
             raise ConfigError(f"initial_lr must be finite and > 0, got {self.initial_lr}")
+        for name in ("epochs", "window", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
         if self.window < 1:
             raise ConfigError("window must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if not 0.0 <= self.subsample < math.inf:
             raise ConfigError(f"subsample must be finite and >= 0, got {self.subsample}")
 
@@ -378,42 +385,51 @@ def _check_params_finite(params: list[RelationParams]) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _state_arrays(state: ModelState) -> list[tuple[str, np.ndarray]]:
-    out = [
-        ("input", state.store.input_vectors),
-        ("output", state.store.output_vectors),
-        ("relations", state.store.relation_vectors),
-    ]
-    for i, p in enumerate(state.params):
-        out += [(f"rel{i}.{name}", a) for name, a in p.arrays().items()]
-    return out
+def _checkpoint_layout(
+    model_config: ModelConfig, train_config: TrainConfig, n_tokens: int, n_relations: int
+) -> list[tuple[str, tuple[int, ...], np.dtype]]:
+    """Name, shape and dtype of each array of a checkpoint, in file order.
 
-
-def _array_shapes(
-    model_config: ModelConfig, n_tokens: int, n_relations: int
-) -> dict[str, tuple[int, ...]]:
-    """Name and shape of every array a checkpoint with this header holds."""
+    ``input``, ``output`` and ``relations`` take the state dtype (float32 iff
+    ``use_float32``); then each name of a relation's ``arrays()`` view has a
+    float64 stack ``rel.<name>`` of shape ``(R, *shape)``, relation i at [i].
+    """
     d = model_config.dim
-    shapes = {
-        "input": (n_tokens, d),
-        "output": (n_tokens, d),
-        "relations": (n_relations, d),
-    }
-    relation = relation_array_shapes(model_config)
-    for i in range(n_relations):
-        shapes.update({f"rel{i}.{name}": shape for name, shape in relation.items()})
-    return shapes
+    dtype = np.dtype("<f4" if train_config.use_float32 else "<f8")
+    layout = [
+        ("input", (n_tokens, d), dtype),
+        ("output", (n_tokens, d), dtype),
+        ("relations", (n_relations, d), dtype),
+    ]
+    for name, shape in relation_array_shapes(model_config).items():
+        layout.append((f"rel.{name}", (n_relations, *shape), np.dtype("<f8")))
+    return layout
 
 
 def save_checkpoint(state: ModelState, path: str | Path) -> None:
     """Binary dump of the full model state; load_checkpoint restores it
     bitwise.
 
-    The bytes go to a temporary file beside ``path`` that ``os.replace`` then
-    moves into place, so ``path`` holds the old or the new checkpoint, never
-    a partial one.
+    Raises ``ValueError``, before writing anything, if an array of the state
+    differs in shape or dtype from the layout that its configs, vocabulary
+    and relations imply.  The bytes go to a temporary file beside ``path``
+    that ``os.replace`` then moves into place, so ``path`` holds the old or
+    the new checkpoint, never a partial one.
     """
-    arrays = _state_arrays(state)
+    layout = _checkpoint_layout(
+        state.model_config, state.train_config, len(state.vocab), len(state.relation_names)
+    )
+    store, views = state.store, [p.arrays() for p in state.params]
+    blocks = [[store.input_vectors], [store.output_vectors], [store.relation_vectors]]
+    # A stack's bytes are its relations' arrays, one after the other.
+    blocks += [[v.get(name.removeprefix("rel.")) for v in views] for name, _, _ in layout[3:]]
+    for (name, shape, dtype), parts in zip(layout, blocks):
+        want = [(shape[1:], dtype)] * shape[0] if name.startswith("rel.") else [(shape, dtype)]
+        if [a if a is None else (a.shape, a.dtype) for a in parts] != want:
+            raise ValueError(
+                f"state array {name!r} is not of the shape {shape} and dtype "
+                f"{dtype} that its configs imply"
+            )
     header = {
         "model": asdict(state.model_config),
         "train": asdict(state.train_config),
@@ -424,13 +440,10 @@ def save_checkpoint(state: ModelState, path: str | Path) -> None:
             "lexicon": sorted(state.vocab.phrase_lexicon),
         },
         "relations": state.relation_names,
-        "arrays": [
-            {"name": n, "dtype": a.dtype.str, "shape": list(a.shape)}
-            for n, a in arrays
-        ],
     }
     blob = json.dumps(header).encode("utf-8")
-    size = len(CHECKPOINT_MAGIC) + 8 + len(blob) + sum(a.nbytes for _, a in arrays)
+    arrays_size = sum(a.nbytes for parts in blocks for a in parts)
+    size = len(CHECKPOINT_MAGIC) + 8 + len(blob) + arrays_size
     path = Path(path)
     tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
     try:
@@ -443,8 +456,9 @@ def save_checkpoint(state: ModelState, path: str | Path) -> None:
             fh.write(CHECKPOINT_MAGIC)
             fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(blob)))
             fh.write(blob)
-            for _, a in arrays:
-                fh.write(_raw_bytes(np.ascontiguousarray(a)))
+            for parts in blocks:
+                for a in parts:
+                    fh.write(_raw_bytes(np.ascontiguousarray(a)))
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -455,12 +469,6 @@ def _raw_bytes(a: np.ndarray) -> np.ndarray:
     """A flat byte view of C-contiguous ``a``, for writing or reading its
     buffer in place; unlike ``memoryview(a).cast("B")`` it works at size 0."""
     return a.reshape(-1).view(np.uint8)
-
-
-# Train-config keys of earlier releases; a header that has them still loads.
-_RETIRED_TRAIN_KEYS = (
-    "workers", "deterministic", "power", "table_size", "corrupt_mode"
-)
 
 
 def _checked_section(path, what: str, section, keys) -> dict:
@@ -485,14 +493,21 @@ def _checked_config(path, what: str, cls, section):
         raise CheckpointError(f"{path}: checkpoint {what} rejected: {exc}") from exc
 
 
+def _is_list_of(value, kind: type) -> bool:
+    """Whether ``value`` is a list of exactly ``kind`` (so a bool is no int)."""
+    return isinstance(value, list) and set(map(type, value)) <= {kind}
+
+
 def load_checkpoint(path: str | Path) -> ModelState:
     """Inverse of :func:`save_checkpoint`.
 
-    Every array must have the name and shape the header's configuration,
-    vocabulary and relations imply and hold only finite values, and no
-    bytes may follow the last one.
+    The header's configs, vocabulary and relation names fix the shape and
+    dtype of every array, so the file must hold exactly their bytes after
+    the header; this is checked before any array is allocated.  Every array
+    must hold only finite values.
     """
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise CheckpointError(f"{path}: not a kgvec checkpoint")
@@ -502,27 +517,31 @@ def load_checkpoint(path: str | Path) -> ModelState:
         version, blob_len = struct.unpack("<II", head)
         if version != CHECKPOINT_VERSION:
             raise CheckpointError(
-                f"{path}: unsupported checkpoint version {version}"
+                f"{path}: unsupported checkpoint version {version}; "
+                f"this release reads version {CHECKPOINT_VERSION} only"
             )
-        blob = fh.read(blob_len)
-        if len(blob) != blob_len:
+        if blob_len > size - fh.tell():
             raise CheckpointError(f"{path}: truncated checkpoint header")
         try:
-            header = json.loads(blob.decode("utf-8"))
+            header = json.loads(fh.read(blob_len).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CheckpointError(f"{path}: corrupt checkpoint header") from exc
-        _checked_section(
-            path, "header", header, ("model", "train", "vocab", "relations", "arrays")
-        )
-
+        _checked_section(path, "header", header, ("model", "train", "vocab", "relations"))
         model_config = _checked_config(path, "model", ModelConfig, header["model"])
-        train = header["train"]
-        if isinstance(train, dict):
-            train = {k: v for k, v in train.items() if k not in _RETIRED_TRAIN_KEYS}
-        train_config = _checked_config(path, "train", TrainConfig, train)
+        train_config = _checked_config(path, "train", TrainConfig, header["train"])
         v = _checked_section(
             path, "vocab", header["vocab"], ("tokens", "counts", "min_count", "lexicon")
         )
+        if not (
+            _is_list_of(v["tokens"], str)
+            and _is_list_of(v["lexicon"], str)
+            and _is_list_of(v["counts"], int)
+            and type(v["min_count"]) is int
+        ):
+            raise CheckpointError(
+                f"{path}: checkpoint vocab needs lists of strings as tokens and "
+                "lexicon, of integers as counts, and an integer min_count"
+            )
         try:
             vocab = Vocabulary(
                 v["tokens"],
@@ -530,60 +549,39 @@ def load_checkpoint(path: str | Path) -> ModelState:
                 v["min_count"],
                 frozenset(v["lexicon"]),
             )
-        except (TypeError, ValueError) as exc:
+        except (OverflowError, ValueError) as exc:
             raise CheckpointError(f"{path}: checkpoint vocab rejected: {exc}") from exc
         relation_names = header["relations"]
-        if not isinstance(relation_names, list):
-            raise CheckpointError(f"{path}: checkpoint relations is not a list")
-        if not isinstance(header["arrays"], list):
-            raise CheckpointError(f"{path}: checkpoint arrays is not a list")
+        if not _is_list_of(relation_names, str):
+            raise CheckpointError(f"{path}: checkpoint relations is not a list of strings")
 
-        expected = _array_shapes(model_config, len(vocab), len(relation_names))
+        layout = _checkpoint_layout(
+            model_config, train_config, len(vocab), len(relation_names)
+        )
+        implied = sum(math.prod(shape) * dtype.itemsize for _, shape, dtype in layout)
+        if implied != size - fh.tell():
+            raise CheckpointError(
+                f"{path}: the header implies {implied} bytes of arrays, "
+                f"the file holds {size - fh.tell()}"
+            )
         arrays: dict[str, np.ndarray] = {}
-        for spec in header["arrays"]:
-            _checked_section(path, "array entry", spec, ("name", "dtype", "shape"))
-            try:
-                dtype = np.dtype(spec["dtype"])
-                shape = tuple(int(n) for n in spec["shape"])
-            except (TypeError, ValueError) as exc:
-                raise CheckpointError(f"{path}: bad array entry {spec}") from exc
-            name = spec["name"]
-            if not isinstance(name, str) or dtype.kind != "f":
-                raise CheckpointError(f"{path}: bad array entry {spec}")
-            if name not in expected or name in arrays:
-                raise CheckpointError(f"{path}: unexpected checkpoint array {name!r}")
-            if shape != expected[name]:
-                raise CheckpointError(
-                    f"{path}: checkpoint array {name!r} has shape {shape}, "
-                    f"the header implies {expected[name]}"
-                )
+        for name, shape, dtype in layout:
             a = np.empty(shape, dtype=dtype)
             if fh.readinto(_raw_bytes(a)) != a.nbytes:
                 raise CheckpointError(f"{path}: truncated checkpoint (array {name})")
             # Checked while its bytes are still in cache.
             if not all_finite(a):
+                where = ""
+                if name.startswith("rel."):
+                    i = next(i for i, part in enumerate(a) if not all_finite(part))
+                    where = f" in relation {i}"
                 raise CheckpointError(
-                    f"{path}: checkpoint array {name!r} holds NaN or inf"
+                    f"{path}: checkpoint array {name!r} holds NaN or inf{where}"
                 )
             arrays[name] = a
-        missing = [name for name in expected if name not in arrays]
-        if missing:
-            raise CheckpointError(f"{path}: checkpoint has no array {missing[0]!r}")
-        if fh.read(1):
-            raise CheckpointError(f"{path}: trailing bytes after the last array")
 
-    return _state_from_arrays(model_config, train_config, vocab, relation_names, arrays)
-
-
-def _state_from_arrays(
-    model_config: ModelConfig,
-    train_config: TrainConfig,
-    vocab: Vocabulary,
-    relation_names: list[str],
-    arrays: dict[str, np.ndarray],
-) -> ModelState:
     store = EmbeddingStore(arrays["input"], arrays["output"], arrays["relations"])
     params = relation_params_from_arrays(
-        model_config, len(relation_names), lambda i, name: arrays[f"rel{i}.{name}"]
+        model_config, len(relation_names), lambda i, name: arrays[f"rel.{name}"][i]
     )
     return ModelState(model_config, train_config, vocab, relation_names, store, params)

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kgvec.cli import main
 from kgvec.corpus import Vocabulary, build_vocabulary
@@ -402,7 +403,6 @@ class TestCheckpointHeaders:
         "edit",
         [
             pytest.param(lambda h: h["train"].update(frobnicate=1), id="unknown-train-key"),
-            pytest.param(lambda h: h.pop("arrays"), id="no-arrays"),
             pytest.param(lambda h: h.pop("vocab"), id="no-vocab"),
             pytest.param(lambda h: h.pop("relations"), id="no-relations"),
             pytest.param(lambda h: h["model"].update(frobnicate=1), id="unknown-model-key"),
@@ -415,8 +415,17 @@ class TestCheckpointHeaders:
             pytest.param(lambda h: h["model"].update(margin=float("nan")), id="nan-margin"),
             pytest.param(lambda h: h["model"].update(margin=float("inf")), id="inf-margin"),
             pytest.param(lambda h: h["vocab"].pop("counts"), id="missing-vocab-key"),
-            pytest.param(lambda h: h["arrays"].pop(0), id="missing-array"),
-            pytest.param(lambda h: h["arrays"][0].update(dtype="object"), id="non-float-array"),
+            pytest.param(lambda h: h["train"].update(seed=1.5), id="float-seed"),
+            pytest.param(lambda h: h["train"].update(seed=-1), id="negative-seed"),
+            pytest.param(lambda h: h["train"].update(epochs="2"), id="str-epochs"),
+            pytest.param(lambda h: h["train"].update(window=True), id="bool-window"),
+            pytest.param(lambda h: h["vocab"].update(tokens=[1, 2, 3, 4, 5]), id="int-tokens"),
+            pytest.param(lambda h: h["vocab"].update(lexicon="x1_y1"), id="str-lexicon"),
+            pytest.param(lambda h: h["vocab"].update(counts=[1.5] * 5), id="float-counts"),
+            pytest.param(lambda h: h["vocab"].update(counts=[2**70] * 5), id="int64-overflow-counts"),
+            pytest.param(lambda h: h["vocab"].update(min_count="1"), id="str-min-count"),
+            pytest.param(lambda h: h.update(relations=[7]), id="int-relations"),
+            pytest.param(lambda h: h.update(relations="maps"), id="str-relations"),
         ],
     )
     def test_malformed_header_is_data_error(self, tmp_path, checkpoint, edit, capsys):
@@ -428,11 +437,21 @@ class TestCheckpointHeaders:
         assert rc == 2
         assert str(checkpoint) in capsys.readouterr().err
 
+    def test_huge_dim_fails_before_allocating(self, tmp_path, checkpoint, monkeypatch):
+        rewrite_header(checkpoint, lambda h: h["model"].update(dim=10**11))
+        monkeypatch.setattr(np, "empty", lambda *a, **k: pytest.fail("allocated"))
+        with pytest.raises(CheckpointError, match="the header implies"):
+            load_checkpoint(checkpoint)
+        rc = main(["export", "--checkpoint", str(checkpoint),
+                   "--output", str(tmp_path / "v.txt")])
+        assert rc == 2
+
     @pytest.mark.parametrize(
-        "state",
+        "state, edit",
         [
             pytest.param(
                 lambda: shaped_state("se", [SERelation(np.eye(5), np.eye(4))]),
+                lambda h: h["model"].update(dim=5),
                 id="se-5x5-head-matrix-at-d4",
             ),
             pytest.param(
@@ -443,28 +462,38 @@ class TestCheckpointHeaders:
                         LowRankProjection(np.ones(2), np.ones((2, 4)), np.ones((2, 4))),
                     )],
                 ),
+                lambda h: h["model"].update(dim=6),
                 id="lowrank-2x6-head-factors-at-d4",
             ),
             pytest.param(
                 lambda: shaped_state("transr", [TransRRelation(np.eye(4))], 3),
+                lambda h: h.update(relations=["maps", "b", "c"]),
                 id="transr-3-relation-rows-for-1",
             ),
         ],
     )
-    def test_array_shape_off_the_header_is_data_error(self, tmp_path, state, capsys):
-        ck = tmp_path / "model.kgv"
-        save_checkpoint(state(), ck)
-        with pytest.raises(CheckpointError, match="shape"):
-            load_checkpoint(ck)
+    def test_array_shape_off_the_header_is_data_error(
+        self, tmp_path, checkpoint, state, edit, capsys
+    ):
+        # A state whose arrays do not fit its configs is refused at save,
+        # before anything is written ...
+        with pytest.raises(ValueError, match="shape"):
+            save_checkpoint(state(), tmp_path / "off.kgv")
+        assert [p.name for p in tmp_path.iterdir()] == [checkpoint.name]
+        # ... and a header that implies other shapes than the bytes it heads
+        # is a data error.
+        rewrite_header(checkpoint, edit)
+        with pytest.raises(CheckpointError, match="the header implies"):
+            load_checkpoint(checkpoint)
         questions = write(tmp_path / "q.txt", "x1 y1 x2 y2\n")
-        rc = main(["eval-analogy", "--checkpoint", str(ck), "--questions", questions])
+        rc = main(["eval-analogy", "--checkpoint", str(checkpoint), "--questions", questions])
         assert rc == 2
-        assert str(ck) in capsys.readouterr().err
+        assert str(checkpoint) in capsys.readouterr().err
 
     def test_trailing_byte_is_data_error(self, tmp_path, checkpoint, capsys):
         with open(checkpoint, "ab") as fh:
             fh.write(b"\0")
-        with pytest.raises(CheckpointError, match="trailing"):
+        with pytest.raises(CheckpointError, match="the header implies"):
             load_checkpoint(checkpoint)
         rc = main(["export", "--checkpoint", str(checkpoint),
                    "--output", str(tmp_path / "v.txt")])
@@ -540,7 +569,12 @@ class TestCheckpointHeaders:
         arrays[name].flat[-1] = value
         ck = tmp_path / "model.kgv"
         save_checkpoint(state, ck)
-        with pytest.raises(CheckpointError, match=f"array '{name}' holds NaN or inf"):
+        # A relation's array is named by its stack and the relation's index.
+        message = {
+            "rel0.head.out": "array 'rel.head.out' holds NaN or inf in relation 0",
+            "rel0.tail.in": "array 'rel.tail.in' holds NaN or inf in relation 0",
+        }.get(name, f"array '{name}' holds NaN or inf")
+        with pytest.raises(CheckpointError, match=f"{re.escape(message)}$"):
             load_checkpoint(ck)
 
     def test_huge_finite_values_load(self, tmp_path):
@@ -551,20 +585,37 @@ class TestCheckpointHeaders:
         save_checkpoint(state, ck)
         assert (load_checkpoint(ck).store.output_vectors == 1e300).all()
 
-    def test_header_with_retired_worker_keys_loads(self, tmp_path):
-        # train-config keys of earlier releases: the worker options, and the
-        # negative-table and corruption settings that nothing set
-        for i, retired in enumerate([
-            {"workers": 4, "deterministic": False},
-            {"power": 0.75, "table_size": 1_000_000, "corrupt_mode": "uniform-either"},
-        ]):
-            checkpoint = tmp_path / f"model{i}.kgv"
-            save_checkpoint(perfect_analogy_state(), checkpoint)
-            rewrite_header(checkpoint, lambda h: h["train"].update(retired))
-            assert load_checkpoint(checkpoint).train_config == TrainConfig()
-            out = tmp_path / f"v{i}.txt"
-            assert main(["export", "--checkpoint", str(checkpoint), "--output", str(out)]) == 0
-            assert load_embeddings_text(out)[0] == perfect_analogy_state().vocab.tokens
+    def test_version_1_file_is_data_error(self, tmp_path, checkpoint, capsys):
+        data = bytearray(checkpoint.read_bytes())
+        struct.pack_into("<I", data, len(CHECKPOINT_MAGIC), 1)
+        checkpoint.write_bytes(bytes(data))
+        with pytest.raises(CheckpointError, match="unsupported checkpoint version 1;"):
+            load_checkpoint(checkpoint)
+        rc = main(["export", "--checkpoint", str(checkpoint),
+                   "--output", str(tmp_path / "v.txt")])
+        assert rc == 2
+        assert "version 1" in capsys.readouterr().err
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_single_byte_mutation_is_loaded_or_refused(tmp_path_factory, data):
+    """Whatever one byte of a checkpoint becomes, loading returns a state or
+    raises CheckpointError, and export exits 0 or 2."""
+    directory = tmp_path_factory.getbasetemp() / "mutations"
+    directory.mkdir(exist_ok=True)
+    original = directory / "model.kgv"
+    save_checkpoint(perfect_analogy_state(), original)
+    blob = bytearray(original.read_bytes())
+    blob[data.draw(st.integers(0, len(blob) - 1))] = data.draw(st.integers(0, 255))
+    ck = directory / "mutated.kgv"
+    ck.write_bytes(bytes(blob))
+    try:
+        load_checkpoint(ck)
+    except CheckpointError:
+        pass
+    rc = main(["export", "--checkpoint", str(ck), "--output", str(directory / "v.txt")])
+    assert rc in (0, 2)
 
 
 class TestUsage:

@@ -1,4 +1,6 @@
+import json
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -88,6 +90,18 @@ class TestTrainConfig:
     def test_bad_rate_rejected(self, bad):
         with pytest.raises(ConfigError):
             TrainConfig(**bad)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [{"epochs": "2"}, {"epochs": 2.0}, {"window": True}, {"seed": 1.5}, {"seed": None}],
+    )
+    def test_non_integer_count_rejected(self, bad):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            TrainConfig(**bad)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            TrainConfig(seed=-1)
 
 
 class TestDegenerateMixes:
@@ -268,6 +282,37 @@ class TestCheckpoint:
         assert loaded.relation_names == state.relation_names
         assert loaded.model_config == state.model_config
         assert loaded.train_config == state.train_config
+
+    def test_file_is_header_then_name_major_stacks(self, world, tmp_path):
+        _, vocab, _ = world
+        tc = TrainConfig(use_float32=True)
+        state = init_state(vocab, ["a", "b", "c"], small_model(), tc)
+        path = tmp_path / "model.kgv"
+        save_checkpoint(state, path)
+        data = path.read_bytes()
+        start = len(CHECKPOINT_MAGIC) + 8
+        version, size = struct.unpack_from("<II", data, len(CHECKPOINT_MAGIC))
+        assert version == 2
+        header = json.loads(data[start : start + size])
+        assert sorted(header) == ["model", "relations", "train", "vocab"]
+        store, views = state.store, [p.arrays() for p in state.params]
+        want = [store.input_vectors, store.output_vectors, store.relation_vectors]
+        assert all(a.dtype == np.float32 for a in want)
+        want += [np.stack([v[name] for v in views]) for name in views[0]]
+        assert all(a.dtype == np.float64 for a in want[3:])
+        assert data[start + size :] == b"".join(a.tobytes() for a in want)
+
+    def test_non_finite_relation_is_named(self, world, tmp_path):
+        _, vocab, _ = world
+        state = init_state(vocab, ["a", "b", "c"], small_model(), TrainConfig())
+        state.params[2].tail_proj.in_factors[0, 0] = np.nan
+        path = tmp_path / "model.kgv"
+        save_checkpoint(state, path)
+        with pytest.raises(
+            CheckpointError,
+            match=re.escape("array 'rel.tail.in' holds NaN or inf in relation 2"),
+        ):
+            load_checkpoint(path)
 
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "bogus.kgv"

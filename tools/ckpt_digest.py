@@ -6,11 +6,14 @@ Writes a small synthetic corpus and triple file (``relation_world`` from
 ``tests/synthdata.py``: three relations, joint text and knowledge) to a
 temporary directory, then runs ``kgvec train`` in-process through
 ``kgvec.cli.main`` for all six variants in float64 and float32 at a fixed
-seed.  For each run it prints the variant, the float mode, the SHA-256 of
-the checkpoint's JSON header, the SHA-256 of its array bytes (everything
-after the header) and the final combined loss (``repr``, so every bit
-shows).  A change that only adds or drops header keys then still shows the
-arrays bitwise equal.  One process, no threads, about 8 s on a 2-vCPU host.
+seed.  For each run it loads the checkpoint with ``load_checkpoint`` and
+prints the variant, the float mode, the SHA-256 of the loaded configs,
+vocabulary and relation names, the SHA-256 of the loaded arrays (name,
+dtype, shape and bytes, in the view order ``input``, ``output``,
+``relations``, ``rel<i>.<name>``) and the final combined loss (``repr``, so
+every bit shows).  Neither digest reads the file's bytes, so two trees
+whose checkpoint formats differ still compare.  One process, no threads,
+about 8 s on a 2-vCPU host.
 
 Run from the repository root, once for each tree to compare:
 
@@ -22,9 +25,10 @@ Run from the repository root, once for each tree to compare:
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import io
-import struct
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -35,7 +39,7 @@ from synthdata import relation_world  # noqa: E402
 
 import kgvec.cli  # noqa: E402
 from kgvec.model import VARIANTS  # noqa: E402
-from kgvec.trainer import CHECKPOINT_MAGIC  # noqa: E402
+from kgvec.trainer import load_checkpoint  # noqa: E402
 
 
 def _write_world(root: Path) -> tuple[Path, Path]:
@@ -72,15 +76,32 @@ def _train(argv: list[str]):
     return reports[0]
 
 
-def _split(data: bytes) -> tuple[bytes, bytes]:
-    """A checkpoint's magic, version and JSON header, and its array bytes."""
-    (blob_len,) = struct.unpack_from("<I", data, len(CHECKPOINT_MAGIC) + 4)
-    end = len(CHECKPOINT_MAGIC) + 8 + blob_len
-    return data[:end], data[end:]
-
-
-def _sha(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+def _digests(path: Path) -> tuple[str, str]:
+    """SHA-256 of a loaded checkpoint's configs, vocabulary and relations,
+    and of its arrays in view order."""
+    state = load_checkpoint(path)
+    vocab = state.vocab
+    meta = [
+        dataclasses.asdict(state.model_config),
+        dataclasses.asdict(state.train_config),
+        vocab.tokens,
+        vocab.counts.tolist(),
+        vocab.min_count,
+        sorted(vocab.phrase_lexicon),
+        state.relation_names,
+    ]
+    arrays = [
+        ("input", state.store.input_vectors),
+        ("output", state.store.output_vectors),
+        ("relations", state.store.relation_vectors),
+    ]
+    for i, p in enumerate(state.params):
+        arrays += [(f"rel{i}.{name}", a) for name, a in p.arrays().items()]
+    h = hashlib.sha256()
+    for name, a in arrays:
+        h.update(f"{name} {a.dtype.str} {a.shape}\n".encode())
+        h.update(a.tobytes())
+    return hashlib.sha256(json.dumps(meta).encode()).hexdigest(), h.hexdigest()
 
 
 def main() -> None:
@@ -99,11 +120,11 @@ def main() -> None:
                     "--epochs", "2", "--window", "2",
                     "--seed", "11", "--float32", float32,
                 ])
-                header, arrays = _split(ckpt.read_bytes())
+                meta, arrays = _digests(ckpt)
                 mode = "float32" if float32 == "true" else "float64"
                 print(
-                    f"{variant}\t{mode}\theader {_sha(header)}"
-                    f"\tarrays {_sha(arrays)}\t{report.final_combined!r}"
+                    f"{variant}\t{mode}\tstate {meta}"
+                    f"\tarrays {arrays}\t{report.final_combined!r}"
                 )
 
 
