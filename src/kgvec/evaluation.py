@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .corpus import Vocabulary, normalize_token
-from .errors import ParseError, UndefinedCorrelationError
+from .errors import ConfigError, ParseError, UndefinedCorrelationError
 from .kg import TripleSet
 from .model import ModelConfig
 from .trainer import ModelState, TrainConfig, train
@@ -397,21 +397,37 @@ def rank_sweep(
     head_ranks: Sequence[int],
     tail_ranks: Sequence[int],
 ) -> list[SweepRow]:
-    """Train one model per (head_rank, tail_rank) combination, all else
-    fixed, and report two-step analogy accuracy for each."""
-    rows = []
+    """Train one ``lowrank`` model per (head_rank, tail_rank) combination,
+    all else fixed, and report two-step analogy accuracy for each.
+
+    Raises ``ConfigError`` before training anything if ``model_config`` is
+    not ``lowrank``, if either grid is empty, or if any grid point is not a
+    valid ``ModelConfig``.
+    """
+    if model_config.variant != "lowrank":
+        raise ConfigError(
+            f"rank-sweep trains lowrank models only, got variant {model_config.variant!r}"
+        )
+    if not head_ranks or not tail_ranks:
+        raise ConfigError("rank grid is empty: need at least one head and one tail rank")
+    configs = []
     for m_l in head_ranks:
         for m_r in tail_ranks:
-            cfg = replace(
-                model_config, variant="lowrank", head_rank=int(m_l), tail_rank=int(m_r)
-            )
-            state, _ = train(tokens, vocab, triples, cfg, train_config)
-            report = run_analogy_suite(
-                questions, make_analogy_predictor(state, "relational"), vocab
-            )
-            rows.append(
-                SweepRow(int(m_l), int(m_r), report.total_accuracy, report.total_answered)
-            )
+            try:
+                configs.append(replace(model_config, head_rank=int(m_l), tail_rank=int(m_r)))
+            except ValueError as exc:
+                raise ConfigError(
+                    f"rank grid point head {m_l}, tail {m_r} at dim {model_config.dim}: {exc}"
+                ) from exc
+    rows = []
+    for cfg in configs:
+        state, _ = train(tokens, vocab, triples, cfg, train_config)
+        report = run_analogy_suite(
+            questions, make_analogy_predictor(state, "relational"), vocab
+        )
+        rows.append(
+            SweepRow(cfg.head_rank, cfg.tail_rank, report.total_accuracy, report.total_answered)
+        )
     return rows
 
 

@@ -134,7 +134,12 @@ class EmbeddingStore:
 # ``grads(head, tail, corrupt_head, corrupt_tail, relation)`` returns the
 # gradients of f(golden) - f(corrupted), where both triples share the
 # relation: those of the four entity slots, of the relation vector, and the
-# tuple of the view arrays'.
+# tuple of the view arrays'.  The matrix variants stack the golden and the
+# corrupted triple as rows 0 and 1, so each parameter matrix is read once for
+# both, and each parameter gradient is one rank-2 product whose coefficients
+# carry the row signs below: +1 and -1, doubled for a squared-norm score.
+_PAIR_SIGN = np.array([[1.0], [-1.0]])
+_SQUARED_PAIR_SIGN = 2.0 * _PAIR_SIGN
 
 
 class _RelationArrays:
@@ -199,41 +204,31 @@ class LowRankRelation(_RelationArrays):
 
     def grads(self, head, tail, corrupt_head, corrupt_tail, relation):
         lp, rp = self.head_proj, self.tail_proj
-        e_g = lp.apply(head) + relation - rp.apply(tail)
-        e_c = lp.apply(corrupt_head) + relation - rp.apply(corrupt_tail)
+        heads = np.stack((head, corrupt_head))
+        tails = np.stack((tail, corrupt_tail))
+        qh = heads @ lp.in_factors.T
+        st = tails @ rp.in_factors.T
+        qw, sw = qh * lp.weights, st * rp.weights
+        e = qw @ lp.out_factors + relation - sw @ rp.out_factors
+        pe = e @ lp.out_factors.T
+        oe = e @ rp.out_factors.T
 
-        # Head-side factors: f = ||e||^2, dA = 2 e h^T  for  e = A h + r - B t.
-        qh_g = lp.in_factors @ head
-        qh_c = lp.in_factors @ corrupt_head
-        pe_g = lp.out_factors @ e_g
-        pe_c = lp.out_factors @ e_c
-        d_lw = 2.0 * (pe_g * qh_g - pe_c * qh_c)
-        d_lout = 2.0 * lp.weights[:, None] * (
-            qh_g[:, None] * e_g[None, :] - qh_c[:, None] * e_c[None, :]
-        )
-        d_lin = 2.0 * lp.weights[:, None] * (
-            pe_g[:, None] * head[None, :] - pe_c[:, None] * corrupt_head[None, :]
-        )
-
-        # Tail-side factors enter with a minus sign: dB = -2 e t^T.
-        st_g = rp.in_factors @ tail
-        st_c = rp.in_factors @ corrupt_tail
-        oe_g = rp.out_factors @ e_g
-        oe_c = rp.out_factors @ e_c
-        d_rw = -2.0 * (oe_g * st_g - oe_c * st_c)
-        d_rout = -2.0 * rp.weights[:, None] * (
-            st_g[:, None] * e_g[None, :] - st_c[:, None] * e_c[None, :]
-        )
-        d_rin = -2.0 * rp.weights[:, None] * (
-            oe_g[:, None] * tail[None, :] - oe_c[:, None] * corrupt_tail[None, :]
-        )
+        # f = ||e||^2 for e = A h + r - B t gives dA = 2 e h^T and
+        # dB = -2 e t^T; each factor gradient sums both rows in one product.
+        c = _SQUARED_PAIR_SIGN
+        d_lw = (c * pe * qh).sum(axis=0)
+        d_lout = (c * qw).T @ e
+        d_lin = (c * pe * lp.weights).T @ heads
+        d_rw = -(c * oe * st).sum(axis=0)
+        d_rout = -(c * sw).T @ e
+        d_rin = -(c * oe * rp.weights).T @ tails
 
         return (
-            2 * lp.apply_transpose(e_g),
-            -2 * rp.apply_transpose(e_g),
-            -2 * lp.apply_transpose(e_c),
-            2 * rp.apply_transpose(e_c),
-            2 * (e_g - e_c),
+            2 * lp.apply_transpose(e[0]),
+            -2 * rp.apply_transpose(e[0]),
+            -2 * lp.apply_transpose(e[1]),
+            2 * rp.apply_transpose(e[1]),
+            2 * (e[0] - e[1]),
             (d_lw, d_lout, d_lin, d_rw, d_rout, d_rin),
         )
 
@@ -337,18 +332,18 @@ class SERelation(_RelationArrays):
 
     def grads(self, head, tail, corrupt_head, corrupt_tail, relation):
         L, R = self.head_matrix, self.tail_matrix
-        s_g = np.sign(L @ head - R @ tail)
-        s_c = np.sign(L @ corrupt_head - R @ corrupt_tail)
+        heads = np.stack((head, corrupt_head))
+        tails = np.stack((tail, corrupt_tail))
+        s = np.sign(heads @ L.T - tails @ R.T)
+        ls, rs = s @ L, s @ R  # rows L^T s and R^T s of each triple
+        cs = _PAIR_SIGN * s
         return (
-            L.T @ s_g,
-            -(R.T @ s_g),
-            -(L.T @ s_c),
-            R.T @ s_c,
+            ls[0],
+            -rs[0],
+            -ls[1],
+            rs[1],
             np.zeros_like(head),
-            (
-                np.outer(s_g, head) - np.outer(s_c, corrupt_head),
-                -(np.outer(s_g, tail) - np.outer(s_c, corrupt_tail)),
-            ),
+            (cs.T @ heads, -(cs.T @ tails)),
         )
 
 
@@ -372,17 +367,16 @@ class TransRRelation(_RelationArrays):
 
     def grads(self, head, tail, corrupt_head, corrupt_tail, relation):
         M = self.matrix
-        z_g = head - tail
-        z_c = corrupt_head - corrupt_tail
-        e_g = M @ z_g + relation
-        e_c = M @ z_c + relation
+        z = np.stack((head - tail, corrupt_head - corrupt_tail))
+        e = z @ M.T + relation
+        me = 2 * (e @ M)  # rows 2 M^T e of each triple
         return (
-            2 * (M.T @ e_g),
-            -2 * (M.T @ e_g),
-            -2 * (M.T @ e_c),
-            2 * (M.T @ e_c),
-            2 * (e_g - e_c),
-            (2.0 * (np.outer(e_g, z_g) - np.outer(e_c, z_c)),),
+            me[0],
+            -me[0],
+            -me[1],
+            me[1],
+            2 * (e[0] - e[1]),
+            ((_SQUARED_PAIR_SIGN * e).T @ z,),
         )
 
 

@@ -95,6 +95,7 @@ class EpochStats:
     text_steps: int
     kg_steps: int
     seconds: float
+    kg_active: int = 0  # knowledge steps whose hinge was active
 
 
 @dataclass
@@ -113,12 +114,15 @@ class TrainReport:
         return self.rows[-1].combined_loss
 
     def to_tsv(self) -> str:
-        lines = ["epoch\ttext_loss\tkg_loss\tcombined_loss\ttext_steps\tkg_steps\tseconds"]
+        lines = [
+            "epoch\ttext_loss\tkg_loss\tcombined_loss\ttext_steps\tkg_steps"
+            "\tseconds\tkg_active"
+        ]
         for r in self.rows:
             lines.append(
                 f"{r.epoch}\t{r.text_loss:.6g}\t{r.kg_loss:.6g}"
                 f"\t{r.combined_loss:.6g}\t{r.text_steps}\t{r.kg_steps}"
-                f"\t{r.seconds:.3f}"
+                f"\t{r.seconds:.3f}\t{r.kg_active}"
             )
         return "\n".join(lines) + "\n"
 
@@ -229,7 +233,7 @@ def train(
     for epoch in range(tc.epochs):
         started = time.perf_counter()
         text_loss = kg_loss = 0.0
-        text_steps = kg_steps = 0
+        text_steps = kg_steps = kg_active = 0
         epoch_end = (epoch + 1) * steps_per_epoch
         for first in range(epoch * steps_per_epoch, epoch_end, BLOCK):
             steps = np.arange(first, min(first + BLOCK, epoch_end))
@@ -255,7 +259,9 @@ def train(
                 kg_lr = lr[is_kg].tolist()
                 for step_lr in kg_lr:
                     index = next(order)
-                    kg_loss += _kg_step(state, triples, entity_rows, index, rng, step_lr)
+                    loss, active = _kg_step(state, triples, entity_rows, index, rng, step_lr)
+                    kg_loss += loss
+                    kg_active += active
                 kg_steps += len(kg_lr)
             except NumericError as exc:
                 raise NumericError(f"{exc} in steps {steps[0]}..{steps[-1]}") from exc
@@ -270,6 +276,7 @@ def train(
                 text_steps,
                 kg_steps,
                 time.perf_counter() - started,
+                kg_active,
             )
         )
         store.check_finite()
@@ -291,9 +298,9 @@ def _kg_step(
     index: int,
     rng: np.random.Generator,
     lr: float,
-) -> float:
+) -> tuple[float, bool]:
     """One knowledge micro-step on triple ``index`` against one corruption;
-    returns its hinge loss."""
+    returns its hinge loss and whether the hinge was active."""
     h, r, t = triples.triples[index]
     ch, _, ct = corrupt_triple((h, r, t), triples, rng)
 
@@ -319,7 +326,7 @@ def _kg_step(
         store.input_vectors[ctr] -= lr * g.corrupt_tail
         store.relation_vectors[r] -= lr * g.relation
         _apply_param_update(params, g.params, lr)
-    return g.loss
+    return g.loss, g.active
 
 
 def _sgd_text_block(

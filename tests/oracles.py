@@ -4,9 +4,12 @@ Each is the plain, slow form of something kgvec does in vectorised or
 binary form: the generator of skip-gram pairs behind
 ``kgvec.corpus.context_pair_arrays``, a reader for the word2vec text
 files ``kgvec.model.save_embeddings_text`` writes, the per-step form of the
-trainer's learning-rate schedule, the identity map in factor form, and the
+trainer's learning-rate schedule, the identity map in factor form, the
 relation-by-relation search behind
-``kgvec.evaluation.RelationalAnalogy.best_relation``.
+``kgvec.evaluation.RelationalAnalogy.best_relation``, and the golden and
+corrupted triples' gradients taken one at a time, as differences of outer
+products, behind the stacked ``grads`` of ``LowRankRelation``,
+``SERelation`` and ``TransRRelation``.
 """
 
 from __future__ import annotations
@@ -106,3 +109,91 @@ def best_relation_loop(state, a: str, b: str) -> tuple[int, list[float]]:
         e = head @ va + rel - tail @ vb
         fits.append(float(e @ e))
     return int(np.argmin(fits)), fits
+
+
+def lowrank_grads_outer(params, head, tail, corrupt_head, corrupt_tail, relation):
+    """``LowRankRelation.grads`` with each factor gradient a difference of
+    the golden and the corrupted triple's outer products."""
+    lp, rp = params.head_proj, params.tail_proj
+    e_g = lp.apply(head) + relation - rp.apply(tail)
+    e_c = lp.apply(corrupt_head) + relation - rp.apply(corrupt_tail)
+
+    # Head-side factors: f = ||e||^2, dA = 2 e h^T  for  e = A h + r - B t.
+    qh_g = lp.in_factors @ head
+    qh_c = lp.in_factors @ corrupt_head
+    pe_g = lp.out_factors @ e_g
+    pe_c = lp.out_factors @ e_c
+    d_lw = 2.0 * (pe_g * qh_g - pe_c * qh_c)
+    d_lout = 2.0 * lp.weights[:, None] * (
+        qh_g[:, None] * e_g[None, :] - qh_c[:, None] * e_c[None, :]
+    )
+    d_lin = 2.0 * lp.weights[:, None] * (
+        pe_g[:, None] * head[None, :] - pe_c[:, None] * corrupt_head[None, :]
+    )
+
+    # Tail-side factors enter with a minus sign: dB = -2 e t^T.
+    st_g = rp.in_factors @ tail
+    st_c = rp.in_factors @ corrupt_tail
+    oe_g = rp.out_factors @ e_g
+    oe_c = rp.out_factors @ e_c
+    d_rw = -2.0 * (oe_g * st_g - oe_c * st_c)
+    d_rout = -2.0 * rp.weights[:, None] * (
+        st_g[:, None] * e_g[None, :] - st_c[:, None] * e_c[None, :]
+    )
+    d_rin = -2.0 * rp.weights[:, None] * (
+        oe_g[:, None] * tail[None, :] - oe_c[:, None] * corrupt_tail[None, :]
+    )
+
+    return (
+        2 * lp.apply_transpose(e_g),
+        -2 * rp.apply_transpose(e_g),
+        -2 * lp.apply_transpose(e_c),
+        2 * rp.apply_transpose(e_c),
+        2 * (e_g - e_c),
+        (d_lw, d_lout, d_lin, d_rw, d_rout, d_rin),
+    )
+
+
+def se_grads_outer(params, head, tail, corrupt_head, corrupt_tail, relation):
+    """``SERelation.grads`` with each matrix gradient a difference of outer
+    products."""
+    L, R = params.head_matrix, params.tail_matrix
+    s_g = np.sign(L @ head - R @ tail)
+    s_c = np.sign(L @ corrupt_head - R @ corrupt_tail)
+    return (
+        L.T @ s_g,
+        -(R.T @ s_g),
+        -(L.T @ s_c),
+        R.T @ s_c,
+        np.zeros_like(head),
+        (
+            np.outer(s_g, head) - np.outer(s_c, corrupt_head),
+            -(np.outer(s_g, tail) - np.outer(s_c, corrupt_tail)),
+        ),
+    )
+
+
+def transr_grads_outer(params, head, tail, corrupt_head, corrupt_tail, relation):
+    """``TransRRelation.grads`` with the matrix gradient a difference of
+    outer products."""
+    M = params.matrix
+    z_g = head - tail
+    z_c = corrupt_head - corrupt_tail
+    e_g = M @ z_g + relation
+    e_c = M @ z_c + relation
+    return (
+        2 * (M.T @ e_g),
+        -2 * (M.T @ e_g),
+        -2 * (M.T @ e_c),
+        2 * (M.T @ e_c),
+        2 * (e_g - e_c),
+        (2.0 * (np.outer(e_g, z_g) - np.outer(e_c, z_c)),),
+    )
+
+
+# The outer-product oracle of each variant whose ``grads`` stacks its triples.
+OUTER_PRODUCT_GRADS = {
+    "lowrank": lowrank_grads_outer,
+    "se": se_grads_outer,
+    "transr": transr_grads_outer,
+}

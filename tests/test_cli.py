@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import kgvec.evaluation
 from kgvec.cli import main
 from kgvec.corpus import Vocabulary, build_vocabulary
 from kgvec.errors import CheckpointError
@@ -364,6 +365,29 @@ class TestRankSweepCommand:
         rows = [l for l in out.splitlines() if l and not l.startswith(("#", "head_rank"))]
         assert len(rows) == 4
         assert out.startswith("# kgvec rank sweep\n# seed\t1\n")
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--head-ranks", "2,4,16", "--tail-ranks", "7"], "head 16, tail 7 at dim 8"),
+            (["--head-ranks", "", "--tail-ranks", "7"], "rank grid is empty"),
+            (["--head-ranks", "2", "--tail-ranks", "7", "--variant", "transe"],
+             "lowrank models only"),
+        ],
+    )
+    def test_bad_grid_exits_1_before_training(
+        self, tmp_path, corpus_file, triples_file, capsys, monkeypatch, flags, message
+    ):
+        trained = []
+        monkeypatch.setattr(kgvec.evaluation, "train", lambda *a: trained.append(a))
+        questions = write(tmp_path / "q.txt", "paris france london england\n")
+        output = tmp_path / "sweep.tsv"
+        rc = main(["rank-sweep", "--corpus", corpus_file, "--triples", triples_file,
+                   "--questions", questions, "--min-count", "1", "--dim", "8",
+                   "--epochs", "1", "--output", str(output), *flags])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert trained == [] and not output.exists()
 
 
 class TestExport:

@@ -23,7 +23,7 @@ from kgvec.model import (
     skipgram_ns_loss_grad,
 )
 from kgvec.projection import LowRankProjection
-from oracles import identity_projection, load_embeddings_text
+from oracles import OUTER_PRODUCT_GRADS, identity_projection, load_embeddings_text
 
 
 class TestModelConfig:
@@ -206,6 +206,49 @@ class TestKnowledgeLossGrad:
             assert_grad_matches(loss_fn, r, g.relation)
             for arr, grad in param_grad_pairs(params, g.params):
                 assert_grad_matches(loss_fn, arr, grad)
+
+
+def stacked_grads_cases():
+    """(variant, d, rank) for every stacked ``grads``; rank is 1 or d and
+    matters only to lowrank."""
+    for d in (1, 7, 32):
+        for rank in sorted({1, d}):
+            yield "lowrank", d, rank
+        yield "se", d, d
+        yield "transr", d, d
+
+
+class TestStackedGradsMatchOuterProducts:
+    """The stacked ``grads`` round differently from the outer-product
+    oracle, and only in the last bits.
+
+    The tolerance is relative to each array's largest entry: an entry that
+    cancels, such as 0.0038 as the difference of two terms near 19, keeps
+    the absolute rounding error of its terms, about 1e-15.
+    """
+
+    @pytest.mark.parametrize("variant, d, rank", list(stacked_grads_cases()))
+    @pytest.mark.parametrize("shared", [None, "head", "tail"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_random_states(self, variant, d, rank, shared, dtype):
+        rng = np.random.default_rng([d, rank, VARIANTS.index(variant)])
+        cfg = ModelConfig(variant=variant, dim=d, head_rank=rank, tail_rank=rank)
+        params = init_relation_params(cfg, 1, rng)[0]
+        for array in params.arrays().values():
+            array[:] = rng.standard_normal(array.shape)
+        for _ in range(5):
+            h, t, ch, ct = rng.standard_normal((4, d)).astype(dtype)
+            r = rng.standard_normal(d).astype(dtype)
+            if shared == "head":
+                ch = h
+            elif shared == "tail":
+                ct = t
+            got = params.grads(h, t, ch, ct, r)
+            want = OUTER_PRODUCT_GRADS[variant](params, h, t, ch, ct, r)
+            assert len(got[5]) == len(want[5])
+            for a, b in zip((*got[:5], *got[5]), (*want[:5], *want[5])):
+                assert a.shape == b.shape and a.dtype == b.dtype
+                np.testing.assert_allclose(a, b, rtol=0, atol=1e-12 * np.abs(b).max())
 
 
 class TestSkipGramLoss:

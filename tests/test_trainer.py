@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+import kgvec.trainer
 from kgvec.corpus import Vocabulary, context_pair_arrays
 from kgvec.errors import CheckpointError, ConfigError, NumericError
 from kgvec.model import (
@@ -248,6 +249,42 @@ class TestMixingRatio:
         n = text + kg
         sigma = np.sqrt(alpha * (1 - alpha) / n)
         assert abs(text / n - (1 - alpha)) <= 3 * sigma
+
+
+class TestActiveCount:
+    def test_zero_without_knowledge_steps(self, world):
+        tokens, vocab, triples = world
+        tc = TrainConfig(alpha=0.0, epochs=2, seed=5, window=2)
+        _, report = train(tokens, vocab, triples, small_model(), tc)
+        assert [r.kg_active for r in report.rows] == [0, 0]
+
+    def test_counts_the_active_hinges_of_each_epoch(self, world, monkeypatch):
+        tokens, vocab, triples = world
+        flags = []
+        plain = kgvec.trainer.knowledge_loss_grad
+
+        def counted(*args):
+            g = plain(*args)
+            flags.append(g.active)
+            return g
+
+        monkeypatch.setattr(kgvec.trainer, "knowledge_loss_grad", counted)
+        tc = TrainConfig(alpha=0.5, epochs=3, seed=4, window=2)
+        _, report = train(tokens, vocab, triples, small_model(), tc)
+        ends = np.cumsum([r.kg_steps for r in report.rows])
+        assert ends[-1] == len(flags)
+        per_epoch = [sum(part) for part in np.split(flags, ends[:-1])]
+        assert [r.kg_active for r in report.rows] == per_epoch
+        assert all(r.kg_active <= r.kg_steps for r in report.rows)
+        assert 0 < sum(flags) < len(flags)
+
+    def test_is_the_last_report_column(self, world):
+        tokens, vocab, triples = world
+        tc = TrainConfig(alpha=0.5, epochs=1, seed=4, window=2)
+        _, report = train(tokens, vocab, triples, small_model(), tc)
+        header, row = report.to_tsv().splitlines()
+        assert header.split("\t")[-1] == "kg_active"
+        assert row.split("\t")[-1] == str(report.rows[0].kg_active)
 
 
 def same_bits(a, b):

@@ -63,10 +63,10 @@ def _constrained_step(before, after):
         vectors = state.store.input_vectors
         if before is not None:
             vectors[entity_rows] = before(vectors[entity_rows])
-        loss = plain(state, triples, entity_rows, index, rng, lr)
+        result = plain(state, triples, entity_rows, index, rng, lr)
         if after is not None:
             vectors[entity_rows] = after(vectors[entity_rows])
-        return loss
+        return result
 
     return step
 
