@@ -41,13 +41,17 @@ for tok, cnt in zip(vocab.tokens, vocab.counts):
 print("note: 'john_f' is present with count 0 — it lost every match to the"
       " longer name but keeps an embedding slot.")
 
-sampler = build_negative_table(vocab, power=0.75, table_size=10_000)
-print("\nnegative-sampling probabilities (count^0.75, zero-count excluded):")
-for tok, p in zip(vocab.tokens, sampler.probabilities):
-    print(f"  {tok:16s} {p:.4f}")
+# The trainer draws negatives from a flat table of 1,000,000 token indices,
+# each token filling a share of cells proportional to count^0.75.
+table = build_negative_table(vocab)
+shares = np.bincount(table, minlength=len(vocab)) / len(table)
+print("\nnegative-table cell shares (count^0.75, zero-count tokens get no cell):")
+for tok, share in zip(vocab.tokens, shares):
+    print(f"  {tok:16s} {share:.4f}")
 
 rng = np.random.default_rng(0)
-print("\n10 negative draws:", [vocab.tokens[i] for i in sampler.draw(rng, 10)])
+draws = table[rng.integers(0, len(table), 10)]
+print("\n10 negative draws:", [vocab.tokens[i] for i in draws])
 
 print("\nfirst 8 skip-gram pairs (window 2, out-of-vocab removed first):")
 centers, contexts = context_pair_arrays(vocab.encode(merged), window=2)

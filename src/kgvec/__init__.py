@@ -8,7 +8,6 @@ translation residual.  See README.md for the full tour.
 """
 
 from .corpus import (
-    NegativeSampler,
     Vocabulary,
     build_negative_table,
     build_vocabulary,
@@ -67,7 +66,6 @@ __all__ = [
     "MappingStats",
     "ModelConfig",
     "ModelState",
-    "NegativeSampler",
     "SimilarityPair",
     "TrainConfig",
     "TrainReport",

@@ -1,7 +1,7 @@
 """Corpus ingestion: tokenization, phrase merging, vocabulary, sampling.
 
 The pipeline is: raw text -> base tokens -> phrase-merged tokens ->
-Vocabulary / NegativeSampler / (center, context) training pairs.
+Vocabulary / negative-sampling table / (center, context) training pairs.
 """
 
 from __future__ import annotations
@@ -22,6 +22,12 @@ PHRASE_SEP = "_"
 
 # Longest phrase the merger will look for, in base tokens.
 MAX_PHRASE_WORDS = 8
+
+# word2vec's unigram smoothing power and negative-table size.
+NEGATIVE_POWER = 0.75
+NEGATIVE_TABLE_SIZE = 1_000_000
+
+_INT64_MAX = np.iinfo(np.int64).max
 
 _EDGE_PUNCT = string.punctuation
 _TOKEN_PUNCT = string.punctuation.replace(PHRASE_SEP, "")
@@ -144,7 +150,8 @@ def load_phrase_lexicon(path: str | Path) -> list[tuple[str, ...]]:
 class Vocabulary:
     """Token inventory with frequencies and token<->index maps.
 
-    ``counts[i]`` is the post-merge corpus frequency of ``tokens[i]``.
+    ``counts[i]`` is the post-merge corpus frequency of ``tokens[i]``, never
+    negative.
     Lexicon entries are always present; ones that are absent from the corpus
     (or fall under ``min_count``) carry count 0 so they still get embedding
     rows but are never drawn as negative samples.
@@ -163,6 +170,8 @@ class Vocabulary:
         self.index = {tok: i for i, tok in enumerate(self.tokens)}
         if len(self.index) != len(self.tokens):
             raise ValueError("duplicate tokens in vocabulary")
+        if (self.counts < 0).any():
+            raise ValueError("negative token count in vocabulary")
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -194,8 +203,7 @@ class Vocabulary:
                 size = int(parts[1])
             except ValueError:
                 raise ParseError(f"{path}: line 1: bad vocabulary size") from None
-            tokens: list[str] = []
-            counts: list[int] = []
+            counts: dict[str, int] = {}
             for lineno, line in enumerate(fh, 2):
                 line = line.rstrip("\n")
                 if not line:
@@ -205,20 +213,25 @@ class Vocabulary:
                     raise ParseError(
                         f"{path}: line {lineno}: expected 'token<TAB>count'"
                     )
+                token, text = cols
                 try:
-                    count = int(cols[1])
+                    count = int(text)
                 except ValueError:
+                    count = -1
+                if not 0 <= count <= _INT64_MAX:
                     raise ParseError(
-                        f"{path}: line {lineno}: bad count {cols[1]!r}"
-                    ) from None
-                tokens.append(cols[0])
-                counts.append(count)
-        if len(tokens) != size:
+                        f"{path}: line {lineno}: bad count {text!r}; "
+                        "expected an integer in 0..2**63-1"
+                    )
+                if token in counts:
+                    raise ParseError(f"{path}: line {lineno}: duplicate token {token!r}")
+                counts[token] = count
+        if len(counts) != size:
             raise ParseError(
-                f"{path}: header claims {size} tokens, file has {len(tokens)}"
+                f"{path}: header claims {size} tokens, file has {len(counts)}"
             )
-        lexicon = frozenset(t for t in tokens if PHRASE_SEP in t)
-        return cls(tokens, np.asarray(counts, dtype=np.int64), 1, lexicon)
+        lexicon = frozenset(t for t in counts if PHRASE_SEP in t)
+        return cls(list(counts), list(counts.values()), 1, lexicon)
 
 
 def build_vocabulary(
@@ -268,48 +281,28 @@ def build_vocabulary(
     return Vocabulary(order, counts, min_count, frozenset(lexicon_tokens))
 
 
-class NegativeSampler:
-    """Draws word indices from the count^power unigram distribution.
+def build_negative_table(vocab: Vocabulary) -> np.ndarray:
+    """The word2vec negative-sampling table: ``NEGATIVE_TABLE_SIZE`` cells of
+    token indices, each token filling a share of cells proportional to
+    count^``NEGATIVE_POWER``.
 
-    The distribution is quantized into a flat table (one cell per draw
-    outcome), the standard word2vec trick: the per-token quantization error
-    is below ``1/table_size``.  Tokens with count 0 never appear.
+    Draw with ``table[rng.integers(0, len(table), n)]``.  Each token's share
+    of cells is within ``1/NEGATIVE_TABLE_SIZE`` of its probability; tokens
+    with count 0 get no cell.
     """
-
-    def __init__(self, probabilities: np.ndarray, table: np.ndarray):
-        self.probabilities = probabilities
-        self.table = table
-
-    def draw(self, rng: np.random.Generator, size: int | None = None):
-        """Sample token indices; scalar if ``size`` is None, else an array."""
-        cells = rng.integers(0, len(self.table), size=size)
-        return self.table[cells]
-
-
-def build_negative_table(
-    vocab: Vocabulary, power: float = 0.75, table_size: int = 1_000_000
-) -> NegativeSampler:
-    """Build a NegativeSampler with weights proportional to count^power."""
     if len(vocab) == 0:
         raise ValueError("vocabulary is empty")
-    if not 0.0 <= power <= 1.0:
-        raise ValueError(f"power must be in [0, 1], got {power}")
-    if table_size < len(vocab):
-        raise ValueError("table_size must be at least the vocabulary size")
+    if NEGATIVE_TABLE_SIZE < len(vocab):
+        raise ValueError("vocabulary is larger than the negative table")
 
-    counts = vocab.counts.astype(np.float64)
-    # 0**0 == 1, so mask zero-count tokens explicitly.
-    weights = np.where(counts > 0, counts, 1.0) ** power
-    weights[counts <= 0] = 0.0
+    # Counts are non-negative and 0.0 ** NEGATIVE_POWER == 0.0.
+    weights = vocab.counts.astype(np.float64) ** NEGATIVE_POWER
     total = weights.sum()
     if total <= 0:
         raise DegenerateDistributionError("all token counts are zero")
-    probs = weights / total
-
-    boundaries = np.round(np.cumsum(probs) * table_size).astype(np.int64)
-    cells_per_token = np.diff(boundaries, prepend=0)
-    table = np.repeat(np.arange(len(vocab), dtype=np.int64), cells_per_token)
-    return NegativeSampler(probs, table)
+    boundaries = np.round(np.cumsum(weights / total) * NEGATIVE_TABLE_SIZE)
+    cells_per_token = np.diff(boundaries.astype(np.int64), prepend=0)
+    return np.repeat(np.arange(len(vocab), dtype=np.int64), cells_per_token)
 
 
 def context_pair_arrays(

@@ -149,14 +149,14 @@ def load_similarity_pairs(path: str | Path) -> list[SimilarityPair]:
                     f"{path}: line {lineno}: expected 'word1<TAB>word2<TAB>score'"
                 )
             try:
-                score = float(cols[2])
+                pair = SimilarityPair(
+                    normalize_token(cols[0]), normalize_token(cols[1]), float(cols[2])
+                )
             except ValueError:
                 raise ParseError(
-                    f"{path}: line {lineno}: bad score {cols[2]!r}"
+                    f"{path}: line {lineno}: bad score {cols[2]!r}; expected a finite number"
                 ) from None
-            pairs.append(
-                SimilarityPair(normalize_token(cols[0]), normalize_token(cols[1]), score)
-            )
+            pairs.append(pair)
     return pairs
 
 

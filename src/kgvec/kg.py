@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -29,14 +28,10 @@ class TripleSet:
     triples: np.ndarray  # (n, 3) int64 rows (head, relation, tail)
     entity_names: list[str]
     relation_names: list[str]
-    entity_index: dict[str, int] = field(init=False, repr=False)
-    relation_index: dict[str, int] = field(init=False, repr=False)
     triple_index: frozenset = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.triples = np.asarray(self.triples, dtype=np.int64).reshape(-1, 3)
-        self.entity_index = {n: i for i, n in enumerate(self.entity_names)}
-        self.relation_index = {n: i for i, n in enumerate(self.relation_names)}
         self.triple_index = frozenset(map(tuple, self.triples.tolist()))
         if len(self.triple_index) != len(self.triples):
             raise ValueError("duplicate triples")
@@ -160,22 +155,28 @@ class MappingStats:
 
 
 def compute_mapping_stats(triple_set: TripleSet) -> MappingStats:
-    """Compute mean tails-per-head and heads-per-tail for every relation."""
+    """Compute mean tails-per-head and heads-per-tail for every relation.
+
+    Triples are distinct, so relation r's mean tails per head is its triple
+    count over its number of distinct heads, and likewise for tails.  A
+    relation without triples gets NaN.
+    """
     if len(triple_set) == 0:
         raise ValueError("triple set is empty")
-    tails_by_head: dict[int, dict[int, set]] = defaultdict(lambda: defaultdict(set))
-    heads_by_tail: dict[int, dict[int, set]] = defaultdict(lambda: defaultdict(set))
-    for h, r, t in triple_set.triples:
-        tails_by_head[int(r)][int(h)].add(int(t))
-        heads_by_tail[int(r)][int(t)].add(int(h))
+    n_rel, n_ent = triple_set.n_relations, triple_set.n_entities
+    heads, rels, tails = triple_set.triples.T
+    per_relation = np.bincount(rels, minlength=n_rel)
 
-    n_rel = triple_set.n_relations
-    tph = np.zeros(n_rel)
-    hpt = np.zeros(n_rel)
-    for r in range(n_rel):
-        tph[r] = np.mean([len(s) for s in tails_by_head[r].values()])
-        hpt[r] = np.mean([len(s) for s in heads_by_tail[r].values()])
-    return MappingStats(list(triple_set.relation_names), tph, hpt)
+    def distinct(entities: np.ndarray) -> np.ndarray:
+        """Number of distinct entities per relation."""
+        keys = np.unique(rels * n_ent + entities)
+        return np.bincount(keys // n_ent, minlength=n_rel)
+
+    return MappingStats(
+        list(triple_set.relation_names),
+        per_relation / distinct(heads),
+        per_relation / distinct(tails),
+    )
 
 
 def corrupt_triple(

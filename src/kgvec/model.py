@@ -89,10 +89,6 @@ class EmbeddingStore:
     output_vectors: np.ndarray  # (|V|, d)
     relation_vectors: np.ndarray  # (|R|, d)
 
-    @property
-    def dim(self) -> int:
-        return self.input_vectors.shape[1]
-
     @classmethod
     def init(
         cls,

@@ -221,7 +221,7 @@ def train(
         else np.empty(0, dtype=np.int64)
     )
 
-    table = build_negative_table(vocab).table if use_text else None
+    table = build_negative_table(vocab) if use_text else None
 
     steps_per_epoch = n_pairs if n_pairs > 0 else len(triples)
     total_steps = tc.epochs * steps_per_epoch

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import re
 import struct
@@ -5,13 +7,13 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import kgvec.evaluation
 from kgvec.cli import main
 from kgvec.corpus import Vocabulary, build_vocabulary
-from kgvec.errors import CheckpointError
-from kgvec.evaluation import analogy_3cosadd
+from kgvec.errors import CheckpointError, ParseError
+from kgvec.evaluation import analogy_3cosadd, load_similarity_pairs
 from kgvec.model import (
     EmbeddingStore,
     LowRankRelation,
@@ -447,6 +449,7 @@ class TestCheckpointHeaders:
             pytest.param(lambda h: h["vocab"].update(lexicon="x1_y1"), id="str-lexicon"),
             pytest.param(lambda h: h["vocab"].update(counts=[1.5] * 5), id="float-counts"),
             pytest.param(lambda h: h["vocab"].update(counts=[2**70] * 5), id="int64-overflow-counts"),
+            pytest.param(lambda h: h["vocab"]["counts"].__setitem__(0, -4), id="negative-count"),
             pytest.param(lambda h: h["vocab"].update(min_count="1"), id="str-min-count"),
             pytest.param(lambda h: h.update(relations=[7]), id="int-relations"),
             pytest.param(lambda h: h.update(relations="maps"), id="str-relations"),
@@ -640,6 +643,119 @@ def test_single_byte_mutation_is_loaded_or_refused(tmp_path_factory, data):
         pass
     rc = main(["export", "--checkpoint", str(ck), "--output", str(directory / "v.txt")])
     assert rc in (0, 2)
+
+
+def vocabulary_texts():
+    """Vocabulary-file text: mostly well-formed lines, some arbitrary."""
+    token = st.sampled_from(["x1", "y1", "x2", "new_york", ""]) | st.text(max_size=4)
+    count = (
+        st.integers(-5, 5).map(str)
+        | st.sampled_from(["99999999999999999999999", "9223372036854775807", " 7", "1e3"])
+        | st.text(max_size=4)
+    )
+    entry = st.tuples(token, count).map("\t".join)
+    lines = st.lists(st.one_of(entry, entry, st.text(max_size=10)), max_size=4)
+    # The header mostly matches the line count, so most files get past it.
+    structured = st.tuples(lines, st.sampled_from([0, 0, 0, -1, 1])).map(
+        lambda p: f"#vocab {len(p[0]) + p[1]}\n" + "\n".join(p[0]) + "\n"
+    )
+    return structured | st.text()
+
+
+def similarity_texts():
+    """Similarity-file text: mostly well-formed lines, some arbitrary."""
+    word = st.sampled_from(["x1", "y1", "x2", "y2", "other", "zzz"]) | st.text(max_size=3)
+    score = (
+        st.floats().map(repr)
+        | st.sampled_from(["nan", "1e999", "-inf", " 2 ", "1_0"])
+        | st.text(max_size=4)
+    )
+    entry = st.tuples(word, word, score).map("\t".join)
+    return st.lists(st.one_of(entry, entry, st.text(max_size=10)), max_size=5).map(
+        "\n".join
+    ) | st.text()
+
+
+@pytest.fixture(scope="module")
+def parser_inputs(tmp_path_factory):
+    """A checkpoint and a triple file for the parser properties to run against."""
+    directory = tmp_path_factory.mktemp("parsers")
+    save_checkpoint(perfect_analogy_state(), directory / "model.kgv")
+    write(directory / "kg.tsv", "x1\tmaps\ty1\nx2\tmaps\ty2\nnew_york\tmaps\tx1\n")
+    return directory
+
+
+def run_quietly(argv):
+    """``main(argv)`` with its stdout and stderr captured; (status, stderr)."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, err.getvalue()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(text=vocabulary_texts())
+@example(text="#vocab 2\nfoo\t3\nfoo\t2\n")
+@example(text="#vocab 2\nfoo\t3\nbar\t99999999999999999999999\n")
+@example(text="#vocab 2\nfoo\t3\nbar\t-4\n")
+def test_vocabulary_file_loads_or_is_parse_error(parser_inputs, text):
+    """Any text as a vocabulary file loads or raises ParseError, and
+    ``kgvec stats --vocab`` over it exits 0 or 2."""
+    path = parser_inputs / "vocab.tsv"
+    path.write_text(text, encoding="utf-8")
+    try:
+        Vocabulary.load(path)
+    except ParseError as exc:
+        assert str(path) in str(exc)
+    rc, _ = run_quietly(["stats", "--triples", str(parser_inputs / "kg.tsv"),
+                         "--vocab", str(path), "--output", str(parser_inputs / "stats.tsv")])
+    assert rc in (0, 2)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(text=similarity_texts())
+@example(text="x1\ty1\t1.0\nx2\ty2\tnan\n")
+@example(text="x1\ty1\t1.0\nx2\ty2\t1e999\n")
+def test_similarity_file_loads_or_is_parse_error(parser_inputs, text):
+    """Any text as a similarity file loads or raises ParseError, and
+    ``kgvec eval-similarity`` over it exits 0 or 2."""
+    path = parser_inputs / "sim.tsv"
+    path.write_text(text, encoding="utf-8")
+    try:
+        load_similarity_pairs(path)
+    except ParseError as exc:
+        assert str(path) in str(exc)
+    rc, _ = run_quietly(["eval-similarity", "--checkpoint", str(parser_inputs / "model.kgv"),
+                         "--pairs", str(path), "--output", str(parser_inputs / "sim.out")])
+    assert rc in (0, 2)
+
+
+class TestMalformedFiles:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "#vocab 2\nking\t3\nking\t2\n",
+            "#vocab 2\nking\t3\nqueen\t99999999999999999999999\n",
+            "#vocab 2\nking\t3\nqueen\t-4\n",
+        ],
+        ids=["duplicate-token", "count-beyond-int64", "negative-count"],
+    )
+    def test_bad_vocabulary_line_exits_2(self, tmp_path, corpus_file, text):
+        vocab = write(tmp_path / "vocab.tsv", text)
+        rc, err = run_quietly(["train", "--corpus", corpus_file, "--vocab", vocab,
+                               "--alpha", "0", "--epochs", "1",
+                               "--checkpoint", str(tmp_path / "m.kgv")])
+        assert rc == 2
+        assert f"{vocab}: line 3:" in err
+
+    @pytest.mark.parametrize("score", ["nan", "1e999"])
+    def test_non_finite_similarity_score_exits_2(self, tmp_path, score):
+        ck = tmp_path / "model.kgv"
+        save_checkpoint(perfect_analogy_state(), ck)
+        pairs = write(tmp_path / "sim.tsv", f"x1\ty1\t1.0\na\tb\t{score}\n")
+        rc, err = run_quietly(["eval-similarity", "--checkpoint", str(ck), "--pairs", pairs])
+        assert rc == 2
+        assert f"{pairs}: line 2:" in err
 
 
 class TestUsage:

@@ -1,7 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
+import kgvec.corpus
 from kgvec.corpus import (
+    NEGATIVE_TABLE_SIZE,
     PhraseIndex,
     Vocabulary,
     build_negative_table,
@@ -203,6 +207,25 @@ class TestVocabularyFile:
         with pytest.raises(ParseError):
             Vocabulary.load(path)
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("foo\t3\nfoo\t2\n", "line 3: duplicate token 'foo'"),
+            ("foo\t3\nbar\t99999999999999999999999\n", "line 3: bad count"),
+            ("foo\t3\nbar\t-4\n", "line 3: bad count '-4'"),
+        ],
+        ids=["duplicate-token", "count-beyond-int64", "negative-count"],
+    )
+    def test_bad_entry_names_its_line(self, tmp_path, body, message):
+        path = tmp_path / "vocab.tsv"
+        path.write_text("#vocab 2\n" + body)
+        with pytest.raises(ParseError, match=re.escape(f"{path}: {message}")):
+            Vocabulary.load(path)
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError, match="negative token count"):
+            Vocabulary(["a", "b"], np.array([1, -1]))
+
 
 class TestPhraseLexiconFile:
     def test_load_and_normalize(self, tmp_path):
@@ -220,46 +243,51 @@ class TestPhraseLexiconFile:
             load_phrase_lexicon(path)
 
 
+def smoothed_probabilities(counts):
+    """count^0.75 over its sum: word2vec's noise distribution."""
+    weights = np.asarray(counts, dtype=np.float64) ** 0.75
+    return weights / weights.sum()
+
+
 class TestNegativeTable:
-    def test_uniform_for_equal_counts(self):
-        vocab = Vocabulary(["a", "b"], np.array([1, 1]))
-        sampler = build_negative_table(vocab, power=1.0, table_size=100)
-        assert sampler.probabilities.tolist() == [0.5, 0.5]
+    @pytest.mark.parametrize(
+        "counts", [[8, 1], [100, 40, 7, 1, 0], [3] * 7], ids=["two", "with-zero", "equal"]
+    )
+    def test_cell_shares_match_smoothed_counts(self, counts):
+        table = build_negative_table(Vocabulary(list("abcdefg")[: len(counts)], counts))
+        assert table.dtype == np.int64 and len(table) == NEGATIVE_TABLE_SIZE
+        shares = np.bincount(table, minlength=len(counts)) / len(table)
+        assert np.all(np.abs(shares - smoothed_probabilities(counts)) <= 1 / len(table))
 
     def test_power_smoothing_closed_form(self):
-        vocab = Vocabulary(["a", "b"], np.array([8, 1]))
-        sampler = build_negative_table(vocab, power=0.75, table_size=1000)
+        table = build_negative_table(Vocabulary(["a", "b"], np.array([8, 1])))
         expected = 8**0.75 / (8**0.75 + 1)
-        assert sampler.probabilities[0] == pytest.approx(expected, abs=1e-12)
+        assert np.mean(table == 0) == pytest.approx(expected, abs=1 / len(table))
         assert expected == pytest.approx(0.8262, abs=1e-4)
 
     def test_zero_count_excluded(self):
-        vocab = Vocabulary(["a", "b"], np.array([5, 0]))
-        for power in (0.0, 0.5, 1.0):
-            sampler = build_negative_table(vocab, power=power, table_size=10)
-            assert sampler.probabilities[1] == 0.0
-            assert sampler.probabilities[0] == 1.0
-            assert not np.any(sampler.table == 1)
+        table = build_negative_table(Vocabulary(["a", "b"], np.array([5, 0])))
+        assert np.all(table == 0)
 
     def test_all_zero_counts_degenerate(self):
         vocab = Vocabulary(["a", "b"], np.array([0, 0]))
         with pytest.raises(DegenerateDistributionError):
-            build_negative_table(vocab, table_size=10)
+            build_negative_table(vocab)
 
-    def test_table_size_must_cover_vocab(self):
+    def test_table_size_must_cover_vocab(self, monkeypatch):
+        monkeypatch.setattr(kgvec.corpus, "NEGATIVE_TABLE_SIZE", 2)
         vocab = Vocabulary(["a", "b", "c"], np.array([1, 1, 1]))
-        with pytest.raises(ValueError):
-            build_negative_table(vocab, table_size=2)
+        with pytest.raises(ValueError, match="larger than the negative table"):
+            build_negative_table(vocab)
 
     def test_empirical_frequencies_within_3_sigma(self):
         rng = np.random.default_rng(11)
         counts = np.array([100, 40, 7, 1, 0])
-        vocab = Vocabulary(list("abcde"), counts)
-        sampler = build_negative_table(vocab, power=0.75, table_size=1_000_000)
+        table = build_negative_table(Vocabulary(list("abcde"), counts))
         n = 1_000_000
-        draws = sampler.draw(rng, size=n)
-        freq = np.bincount(draws, minlength=len(vocab)) / n
-        p = sampler.probabilities
+        draws = table[rng.integers(0, len(table), n)]
+        freq = np.bincount(draws, minlength=len(counts)) / n
+        p = smoothed_probabilities(counts)
         sigma = np.sqrt(p * (1 - p) / n)
         assert np.all(np.abs(freq - p) <= 3 * sigma + 1e-12)
 

@@ -573,6 +573,13 @@ class TestFileFormats:
         with pytest.raises(ParseError, match="line 1"):
             load_similarity_pairs(path)
 
+    @pytest.mark.parametrize("score", ["nan", "1e999", "-inf"])
+    def test_similarity_non_finite_score(self, tmp_path, score):
+        path = tmp_path / "sim.tsv"
+        path.write_text(f"cat\tdog\t7.5\na\tb\t{score}\n")
+        with pytest.raises(ParseError, match=f"line 2: bad score '{score}'"):
+            load_similarity_pairs(path)
+
 
 @pytest.fixture(scope="module")
 def tiny_world():

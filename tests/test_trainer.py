@@ -131,7 +131,7 @@ class TestDegenerateMixes:
         assert np.array_equal(state.store.output_vectors, init.store.output_vectors)
         # words that are not entities keep their initial input vectors too
         non_entities = [
-            vocab.index[t] for t in vocab.tokens if t not in triples.entity_index
+            vocab.index[t] for t in vocab.tokens if t not in triples.entity_names
         ]
         assert np.array_equal(
             state.store.input_vectors[non_entities],

@@ -21,6 +21,11 @@ the first line that differs (exit status 1).  The digests are:
   kg-variants-d100 benchmark).  For each state and mode it prints the
   SHA-256 of the answers, the accuracy, and the question and distinct
   (a, b) pair counts.
+* **Mapping statistics.**  ``kgvec stats`` runs on the ``kgworld`` triples,
+  once unfiltered and once with ``--vocab`` holding every other entity.
+  For each it prints the SHA-256 of the TSV, the SHA-256 of the float64
+  tails-per-head and heads-per-tail arrays (the TSV rounds to 6 digits), and
+  the TSV's row count.
 
 Both trees get the inputs of this checkout's ``tests`` and ``perfbench``.
 The two subprocesses run at once; the whole comparison takes about 15 s on
@@ -194,12 +199,42 @@ def _analogy_digests(root: Path) -> None:
             )
 
 
+def _stats_digests(root: Path) -> None:
+    from worlds import kgworld
+
+    import kgvec.cli
+    from kgvec.corpus import Vocabulary
+    from kgvec.kg import compute_mapping_stats, load_triples
+
+    world = kgworld(root, seed=9)
+    triples = str(world.files["triples"])
+    vocab = Vocabulary.load(world.files["vocab"])
+    half = root / "half-vocab.tsv"
+    Vocabulary(vocab.tokens[::2], vocab.counts[::2]).save(half)
+    for label, filter_path in (("all", None), ("--vocab half", half)):
+        out = root / "stats.tsv"
+        argv = ["stats", "--triples", triples, "--output", str(out)]
+        if filter_path is not None:
+            argv += ["--vocab", str(filter_path)]
+        if kgvec.cli.main(argv) != 0:
+            raise SystemExit(f"kgvec {' '.join(argv)} failed")
+        text = out.read_text(encoding="utf-8")
+        entity_filter = Vocabulary.load(filter_path) if filter_path else None
+        stats = compute_mapping_stats(load_triples(triples, entity_filter))
+        arrays = hashlib.sha256(stats.tails_per_head.tobytes() + stats.heads_per_tail.tobytes())
+        print(
+            f"kgworld\tstats {label}\ttsv {hashlib.sha256(text.encode()).hexdigest()}"
+            f"\tarrays {arrays.hexdigest()}\trows {len(text.splitlines())}"
+        )
+
+
 def digest() -> None:
     """Print every digest of the ``kgvec`` on the import path."""
     sys.path[:0] = [str(ROOT / "tests"), str(ROOT / "perfbench")]
     with tempfile.TemporaryDirectory() as tmp:
         _checkpoint_digests(Path(tmp))
         _analogy_digests(Path(tmp))
+        _stats_digests(Path(tmp))
 
 
 # ---------------------------------------------------------------------------
