@@ -1,7 +1,8 @@
 """Command-line pipeline: vocabulary, KG stats, training, evaluation, export.
 
-Exit codes: 0 success, 1 usage/configuration error, 2 data error,
-3 numeric failure.
+Exit codes: 0 success, 1 usage/configuration error (``ConfigError`` or any
+other ``ValueError``), 2 data error (``DataError``, an unreadable file or one
+that is not UTF-8), 3 numeric failure (``NumericError``).
 """
 
 from __future__ import annotations
@@ -21,17 +22,7 @@ from .corpus import (
     merge_phrases,
     tokenize,
 )
-from .errors import (
-    CheckpointError,
-    ConfigError,
-    CorruptionExhaustedError,
-    DegenerateDistributionError,
-    EmptyCorpusError,
-    EmptyKGError,
-    NumericError,
-    ParseError,
-    UndefinedCorrelationError,
-)
+from .errors import ConfigError, DataError, NumericError
 from .kg import compute_mapping_stats, load_triples
 from .model import ModelConfig, VARIANTS, save_embeddings_text
 from .trainer import TrainConfig, load_checkpoint, save_checkpoint, train
@@ -40,18 +31,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
-
-_DATA_ERRORS = (
-    OSError,
-    ParseError,
-    EmptyCorpusError,
-    EmptyKGError,
-    CheckpointError,
-    CorruptionExhaustedError,
-    DegenerateDistributionError,
-    UndefinedCorrelationError,
-    UnicodeDecodeError,
-)
 
 # Paper-default sweep grid for the rank experiment.
 DEFAULT_RANK_GRID = "10,20,30,40,50,60,70,80,90,95,100"
@@ -82,15 +61,17 @@ def main(argv: list[str] | None = None) -> int:
         # NumericError they raise is the one report of that.
         with np.errstate(over="ignore", invalid="ignore"):
             return args.func(args)
-    except (_UsageError, ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except _DATA_ERRORS as exc:
+    # Data errors are caught first: a file that is not UTF-8 raises
+    # UnicodeDecodeError, which is also a ValueError, not a usage error.
+    except (DataError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except ValueError as exc:  # ConfigError included
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def _build_parser() -> _Parser:
@@ -241,7 +222,7 @@ def _read_config_file(path: str) -> dict[str, str]:
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
-                raise ParseError(f"{path}: line {lineno}: expected key=value")
+                raise ConfigError(f"{path}: line {lineno}: expected key=value")
             key, _, value = line.partition("=")
             values[key.strip()] = value.strip()
     return values

@@ -225,6 +225,11 @@ class Vocabulary:
                     )
                 if token in counts:
                     raise ParseError(f"{path}: line {lineno}: duplicate token {token!r}")
+                if token.count(PHRASE_SEP) >= MAX_PHRASE_WORDS:
+                    raise ParseError(
+                        f"{path}: line {lineno}: token longer than "
+                        f"{MAX_PHRASE_WORDS} words"
+                    )
                 counts[token] = count
         if len(counts) != size:
             raise ParseError(

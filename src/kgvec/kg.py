@@ -191,7 +191,7 @@ def corrupt_triple(
     """
     n_ent = triple_set.n_entities
     if n_ent < 2:
-        raise ValueError("need at least 2 entities to corrupt")
+        raise CorruptionExhaustedError("need at least 2 entities to corrupt")
 
     h, r, t = (int(x) for x in triple)
     for _ in range(CORRUPT_ATTEMPTS):

@@ -29,7 +29,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import ConfigError, NumericError
 from .projection import LowRankProjection, init_projection
 
 VARIANTS = ("lowrank", "transe", "transh", "se", "transr", "sg")
@@ -60,21 +60,21 @@ class ModelConfig:
 
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+            raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         for name in ("dim", "head_rank", "tail_rank", "negatives"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.dim < 1:
-            raise ValueError("dim must be >= 1")
+            raise ConfigError("dim must be >= 1")
         if self.variant == "lowrank" and not (
             1 <= self.head_rank <= self.dim and 1 <= self.tail_rank <= self.dim
         ):
-            raise ValueError("rank bounds must satisfy 1 <= m <= dim")
+            raise ConfigError("rank bounds must satisfy 1 <= m <= dim")
         if not 0 < self.margin < math.inf:
-            raise ValueError(f"margin must be finite and > 0, got {self.margin!r}")
+            raise ConfigError(f"margin must be finite and > 0, got {self.margin!r}")
         if self.negatives < 1:
-            raise ValueError("negatives must be >= 1")
+            raise ConfigError("negatives must be >= 1")
 
 
 @dataclass

@@ -29,7 +29,7 @@ from .corpus import (
     context_pair_arrays,
     _subsample_ids,
 )
-from .errors import CheckpointError, ConfigError, NumericError
+from .errors import CheckpointError, ConfigError, EmptyCorpusError, NumericError
 from .kg import TripleSet, corrupt_triple
 from .model import (
     EmbeddingStore,
@@ -204,7 +204,9 @@ def train(
     centers, contexts = context_pair_arrays(ids, tc.window)
     n_pairs = len(centers)
     if use_text and n_pairs == 0:
-        raise ConfigError("alpha < 1 needs a corpus that yields context pairs")
+        if tokens is None:
+            raise ConfigError("alpha < 1 needs a corpus")
+        raise EmptyCorpusError("the corpus yields no context pairs over the vocabulary")
 
     if use_kg:
         if triples is None or len(triples) == 0:
@@ -496,7 +498,7 @@ def _checked_config(path, what: str, cls, section):
     _checked_section(path, what, section, [f.name for f in fields(cls)])
     try:
         return cls(**section)
-    except (ConfigError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: checkpoint {what} rejected: {exc}") from exc
 
 

@@ -11,9 +11,14 @@ from hypothesis import example, given, settings, strategies as st
 
 import kgvec.evaluation
 from kgvec.cli import main
-from kgvec.corpus import Vocabulary, build_vocabulary
-from kgvec.errors import CheckpointError, ParseError
-from kgvec.evaluation import analogy_3cosadd, load_similarity_pairs
+from kgvec.corpus import Vocabulary, build_vocabulary, load_phrase_lexicon
+from kgvec.errors import CheckpointError, EmptyKGError, ParseError
+from kgvec.evaluation import (
+    analogy_3cosadd,
+    load_analogy_questions,
+    load_similarity_pairs,
+)
+from kgvec.kg import load_triples
 from kgvec.model import (
     EmbeddingStore,
     LowRankRelation,
@@ -277,6 +282,61 @@ class TestTrain:
                    "--checkpoint", str(tmp_path / "x.kgv")])
         assert rc == 1
         assert "subsample" in capsys.readouterr().err
+
+    def test_config_line_without_equals_is_usage_error(self, tmp_path, corpus_file,
+                                                        triples_file, capsys):
+        cfg = write(tmp_path / "run.cfg", "dim=8\n# comment\nepochs 3\n")
+        ck = tmp_path / "model.kgv"
+        rc = main(["train", "--config", cfg, "--corpus", corpus_file,
+                   "--triples", triples_file, "--checkpoint", str(ck)])
+        assert rc == 1
+        assert f"{cfg}: line 3: expected key=value" in capsys.readouterr().err
+        assert not ck.exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["train", "--triples", "{triples}", "--alpha", "0.5"],
+             "--corpus is required"),
+            (["train", "--corpus", "{corpus}", "--alpha", "0.5"],
+             "--triples is required"),
+            (["train", "--triples", "{triples}", "--alpha", "1"],
+             "need --vocab or --corpus"),
+            (["rank-sweep", "--corpus", "{corpus}", "--alpha", "0",
+              "--questions", "{corpus}"],
+             "rank-sweep requires --triples"),
+        ],
+        ids=["no-corpus", "no-triples", "no-vocabulary", "sweep-without-triples"],
+    )
+    def test_missing_input_is_usage_error(self, tmp_path, corpus_file, triples_file,
+                                          capsys, argv, message):
+        ck = tmp_path / "model.kgv"
+        argv = [a.format(corpus=corpus_file, triples=triples_file) for a in argv]
+        if argv[0] == "train":
+            argv += ["--checkpoint", str(ck)]
+        rc = main([*argv, "--min-count", "1", "--dim", "8"])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert not ck.exists()
+
+    def test_vocabulary_phrases_merge_like_the_lexicon(self, tmp_path, corpus_file,
+                                                       capsys):
+        """Without --lexicon, the vocabulary's phrase tokens are the lexicon."""
+        lexicon = write(tmp_path / "lexicon.txt", "old land\nnew land\nold town\n")
+        vocab = tmp_path / "vocab.tsv"
+        assert main(["build-vocab", "--corpus", corpus_file, "--lexicon", lexicon,
+                     "--min-count", "1", "--output", str(vocab)]) == 0
+        assert {"old_land", "new_land", "old_town"} <= set(Vocabulary.load(vocab).tokens)
+        states = []
+        for extra in ([], ["--lexicon", lexicon]):
+            ck = tmp_path / f"model{len(states)}.kgv"
+            assert main(["train", "--corpus", corpus_file, "--vocab", str(vocab),
+                         "--alpha", "0", "--dim", "8", "--epochs", "1",
+                         "--checkpoint", str(ck), *extra]) == 0
+            states.append(load_checkpoint(ck))
+        without, with_lexicon = (s.store for s in states)
+        assert without.input_vectors.tobytes() == with_lexicon.input_vectors.tobytes()
+        assert without.output_vectors.tobytes() == with_lexicon.output_vectors.tobytes()
 
 
 def perfect_analogy_state():
@@ -682,6 +742,7 @@ def parser_inputs(tmp_path_factory):
     directory = tmp_path_factory.mktemp("parsers")
     save_checkpoint(perfect_analogy_state(), directory / "model.kgv")
     write(directory / "kg.tsv", "x1\tmaps\ty1\nx2\tmaps\ty2\nnew_york\tmaps\tx1\n")
+    write(directory / "corpus.txt", "x1 y1 x2 y2 new york other x1 y1\n" * 4)
     return directory
 
 
@@ -730,6 +791,130 @@ def test_similarity_file_loads_or_is_parse_error(parser_inputs, text):
     assert rc in (0, 2)
 
 
+def as_bytes(texts):
+    """File contents: ``texts`` in UTF-8 (half the time), the same with up to
+    3 arbitrary bytes spliced in, or arbitrary bytes."""
+
+    def splice(drawn):
+        raw, junk, at = drawn
+        at %= len(raw) + 1
+        return raw[:at] + junk + raw[at:]
+
+    encoded = texts.map(str.encode)
+    spliced = st.tuples(encoded, st.binary(min_size=1, max_size=3), st.integers(0, 1 << 16))
+    return st.one_of(encoded, encoded, spliced.map(splice), st.binary(max_size=64))
+
+
+def lines_of(line):
+    """Text of up to 5 lines, mostly drawn from ``line``, some arbitrary."""
+    return st.lists(st.one_of(line, line, line, st.text(max_size=10)), max_size=5).map(
+        "\n".join
+    )
+
+
+def triple_texts():
+    field = st.sampled_from(["x1", "y1", "x2", "maps", "new_york", " "]) | st.text(max_size=3)
+    line = st.tuples(field, field, field) | st.lists(field, max_size=4)
+    return lines_of(line.map("\t".join))
+
+
+def question_texts():
+    words = ["x1", "y1", "x2", "y2", "other", "new_york", "X1!"]
+    four = st.permutations(words).map(lambda w: w[:4])
+    some = st.lists(st.sampled_from(words) | st.text(max_size=3), max_size=5)
+    return lines_of((four | some).map(" ".join) | st.text(max_size=6).map(": {}".format))
+
+
+def lexicon_texts():
+    word = st.sampled_from(["new", "york", "x1", "_", "9"]) | st.text(max_size=3)
+    return lines_of(st.lists(word, max_size=10).map(" ".join))
+
+
+def corpus_vocabulary_texts():
+    """Vocabulary text over the parser corpus's words, mostly well-formed."""
+    token = st.sampled_from(
+        ["x1", "y1", "x2", "y2", "other", "new_york", "a_b_c_d_e_f_g_h_i"]
+    ) | st.text(max_size=4)
+    count = st.integers(0, 9).map(str) | st.sampled_from(["-1", "1e3", ""])
+    entries = st.lists(st.tuples(token, count), max_size=6, unique_by=lambda e: e[0])
+    well_formed = entries.map(
+        lambda e: f"#vocab {len(e)}\n" + "".join(f"{t}\t{c}\n" for t, c in e)
+    )
+    return well_formed | vocabulary_texts()
+
+
+def check_loader(load, path, *allowed):
+    """``load(path)`` returns, or raises ParseError naming ``path``, or one of
+    ``allowed``."""
+    try:
+        load(path)
+    except ParseError as exc:
+        assert str(path) in str(exc)
+    except allowed:
+        pass
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(raw=as_bytes(triple_texts()))
+@example(raw=b"x1\tmaps\ty1\n\xff\n")
+def test_triple_bytes_load_or_are_data_errors(parser_inputs, raw):
+    """Any bytes as a triple file load or raise ParseError, EmptyKGError (no
+    triple at all) or UnicodeDecodeError, and ``kgvec stats`` exits 0 or 2."""
+    path = parser_inputs / "fuzz-kg.tsv"
+    path.write_bytes(raw)
+    check_loader(load_triples, path, EmptyKGError, UnicodeDecodeError)
+    rc, err = run_quietly(["stats", "--triples", str(path),
+                           "--output", str(parser_inputs / "stats.tsv")])
+    assert rc in (0, 2), err
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(raw=as_bytes(question_texts()))
+@example(raw=b"x1 y1 x2 y2\n\xff\n")
+def test_question_bytes_load_or_are_data_errors(parser_inputs, raw):
+    """Any bytes as a question file load or raise ParseError or
+    UnicodeDecodeError, and ``kgvec eval-analogy`` exits 0 or 2."""
+    path = parser_inputs / "fuzz-questions.txt"
+    path.write_bytes(raw)
+    check_loader(load_analogy_questions, path, UnicodeDecodeError)
+    rc, err = run_quietly(["eval-analogy", "--checkpoint", str(parser_inputs / "model.kgv"),
+                           "--questions", str(path),
+                           "--output", str(parser_inputs / "analogy.tsv")])
+    assert rc in (0, 2), err
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(raw=as_bytes(lexicon_texts()))
+@example(raw=b"new york\n\xff\n")
+def test_lexicon_bytes_load_or_are_data_errors(parser_inputs, raw):
+    """Any bytes as a phrase lexicon load or raise ParseError or
+    UnicodeDecodeError, and ``kgvec build-vocab --lexicon`` exits 0 or 2."""
+    path = parser_inputs / "fuzz-lexicon.txt"
+    path.write_bytes(raw)
+    check_loader(load_phrase_lexicon, path, UnicodeDecodeError)
+    rc, err = run_quietly(["build-vocab", "--corpus", str(parser_inputs / "corpus.txt"),
+                           "--lexicon", str(path), "--min-count", "1",
+                           "--output", str(parser_inputs / "built.tsv")])
+    assert rc in (0, 2), err
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(raw=as_bytes(corpus_vocabulary_texts()))
+@example(raw=b"#vocab 2\nx1\t3\na_b_c_d_e_f_g_h_i\t2\n")
+@example(raw=b"#vocab 2\nx1\t3\ny1\t\xff2\n")
+def test_vocabulary_bytes_load_or_are_data_errors(parser_inputs, raw):
+    """Any bytes as a vocabulary file load or raise ParseError or
+    UnicodeDecodeError, and ``kgvec train --vocab`` exits 0 or 2."""
+    path = parser_inputs / "fuzz-vocab.tsv"
+    path.write_bytes(raw)
+    check_loader(Vocabulary.load, path, UnicodeDecodeError)
+    rc, err = run_quietly(["train", "--corpus", str(parser_inputs / "corpus.txt"),
+                           "--vocab", str(path), "--alpha", "0", "--dim", "4",
+                           "--epochs", "1", "--window", "1",
+                           "--checkpoint", str(parser_inputs / "fuzz.kgv")])
+    assert rc in (0, 2), err
+
+
 class TestMalformedFiles:
     @pytest.mark.parametrize(
         "text",
@@ -756,6 +941,49 @@ class TestMalformedFiles:
         rc, err = run_quietly(["eval-similarity", "--checkpoint", str(ck), "--pairs", pairs])
         assert rc == 2
         assert f"{pairs}: line 2:" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["build-vocab", "--corpus", "{bad}", "--output", "{out}"],
+            ["train", "--corpus", "{bad}", "--alpha", "0", "--checkpoint", "{out}"],
+            ["stats", "--triples", "{bad}"],
+            ["train", "--corpus", "{corpus}", "--vocab", "{bad}", "--alpha", "0",
+             "--checkpoint", "{out}"],
+            ["build-vocab", "--corpus", "{corpus}", "--lexicon", "{bad}", "--output", "{out}"],
+            ["eval-analogy", "--checkpoint", "{model}", "--questions", "{bad}"],
+            ["eval-similarity", "--checkpoint", "{model}", "--pairs", "{bad}"],
+        ],
+        ids=["corpus-build-vocab", "corpus-train", "triples", "vocabulary", "lexicon",
+             "questions", "similarity"],
+    )
+    def test_file_that_is_not_utf8_exits_2(self, tmp_path, corpus_file, argv):
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes("r\xe9gion\tr\tking\n".encode("latin-1"))
+        model = tmp_path / "model.kgv"
+        save_checkpoint(perfect_analogy_state(), model)
+        out = tmp_path / "out"
+        rc, err = run_quietly(
+            [a.format(bad=bad, corpus=corpus_file, model=model, out=out) for a in argv]
+        )
+        assert rc == 2
+        assert "can't decode byte 0xe9" in err
+        assert not out.exists()
+
+    def test_one_entity_triple_file_exits_2(self, tmp_path, corpus_file):
+        triples = write(tmp_path / "kg.tsv", "king\tr\tking\n")
+        rc, err = run_quietly(["train", "--corpus", corpus_file, "--triples", triples,
+                               "--min-count", "1", "--dim", "8", "--alpha", "0.5",
+                               "--checkpoint", str(tmp_path / "m.kgv")])
+        assert rc == 2
+        assert "need at least 2 entities to corrupt" in err
+
+    def test_vocabulary_token_beyond_the_phrase_limit_exits_2(self, tmp_path, corpus_file):
+        vocab = write(tmp_path / "vocab.tsv", "#vocab 2\nking\t3\na_b_c_d_e_f_g_h_i\t2\n")
+        rc, err = run_quietly(["train", "--corpus", corpus_file, "--vocab", vocab,
+                               "--alpha", "0", "--checkpoint", str(tmp_path / "m.kgv")])
+        assert rc == 2
+        assert f"{vocab}: line 3: token longer than 8 words" in err
 
 
 class TestUsage:

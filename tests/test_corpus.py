@@ -222,6 +222,15 @@ class TestVocabularyFile:
         with pytest.raises(ParseError, match=re.escape(f"{path}: {message}")):
             Vocabulary.load(path)
 
+    def test_token_beyond_the_phrase_limit_names_its_line(self, tmp_path):
+        path = tmp_path / "vocab.tsv"
+        longest = "_".join("abcdefgh")  # MAX_PHRASE_WORDS words
+        path.write_text(f"#vocab 2\n{longest}\t3\n{longest}_i\t2\n")
+        with pytest.raises(ParseError, match=re.escape(f"{path}: line 3: token longer")):
+            Vocabulary.load(path)
+        path.write_text(f"#vocab 1\n{longest}\t3\n")
+        assert Vocabulary.load(path).phrase_lexicon == {longest}
+
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError, match="negative token count"):
             Vocabulary(["a", "b"], np.array([1, -1]))

@@ -178,5 +178,5 @@ class TestCorruptTriple:
 
     def test_needs_two_entities(self):
         ts = make_triple_set([(0, 0, 0)], 1, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(CorruptionExhaustedError, match="at least 2 entities"):
             corrupt_triple((0, 0, 0), ts, np.random.default_rng(0))

@@ -194,6 +194,22 @@ class TestDeterminism:
             assert np.array_equal(p1.tail_proj.out_factors, p2.tail_proj.out_factors)
 
 
+class TestSubsampling:
+    def test_seeded_run_repeats_bitwise_on_fewer_pairs(self, world):
+        tokens, vocab, _ = world
+        mc = ModelConfig(variant="sg", dim=8)
+        runs = [
+            train(tokens, vocab, None, mc,
+                  TrainConfig(alpha=0.0, window=2, seed=5, subsample=subsample))
+            for subsample in (1e-3, 1e-3, 0.0)
+        ]
+        (first, report), (again, repeat), (_, full) = runs
+        assert same_bits(first.store.input_vectors, again.store.input_vectors)
+        assert same_bits(first.store.output_vectors, again.store.output_vectors)
+        steps = [r.rows[0].text_steps for r in (report, repeat, full)]
+        assert steps[0] == steps[1] < steps[2]
+
+
 class TestTextBlock:
     def test_repeated_rows_receive_the_sum_of_per_pair_updates(self):
         # Three words, so rows repeat within the block as centers, as
