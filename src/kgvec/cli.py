@@ -1,8 +1,8 @@
 """Command-line pipeline: vocabulary, KG stats, training, evaluation, export.
 
 Exit codes: 0 success, 1 usage/configuration error (``ConfigError`` or any
-other ``ValueError``), 2 data error (``DataError``, an unreadable file or one
-that is not UTF-8), 3 numeric failure (``NumericError``).
+other ``ValueError``), 2 data error (``DataError``, such as a file that is not
+UTF-8, or an unreadable file), 3 numeric failure (``NumericError``).
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .corpus import (
     build_vocabulary,
     load_phrase_lexicon,
     merge_phrases,
+    read_lines,
     tokenize,
 )
 from .errors import ConfigError, DataError, NumericError
@@ -50,26 +51,26 @@ class _Parser(argparse.ArgumentParser):
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        if getattr(args, "config", None):
+            # The file's flags go before the command line's, so the command
+            # line wins and argparse's defaults fill in the rest.
+            config = _config_flags(args.config, args.config_keys)
+            args = parser.parse_args([argv[0], *config, *argv[1:]])
         # A diverging run overflows before the finite checks see it; the
         # NumericError they raise is the one report of that.
         with np.errstate(over="ignore", invalid="ignore"):
             return args.func(args)
-    # Data errors are caught first: a file that is not UTF-8 raises
-    # UnicodeDecodeError, which is also a ValueError, not a usage error.
-    except (DataError, OSError, UnicodeDecodeError) as exc:
+    except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ValueError as exc:  # ConfigError included
+    except (_UsageError, ValueError) as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
@@ -147,8 +148,8 @@ def _build_parser() -> _Parser:
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
     """Flags shared by train and rank-sweep.
 
-    Value resolution is flags > config file > defaults, so every flag's
-    argparse default is None and the real default shows in the help text.
+    ``--head-rank``, ``--tail-rank`` and ``--alpha`` default to None: their
+    defaults depend on ``--dim`` and ``--variant``.
     """
     md, td = _MODEL_DEFAULTS, _TRAIN_DEFAULTS
     p.add_argument("--config", help="key=value configuration file")
@@ -159,16 +160,16 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--min-count",
         type=int,
-        default=None,
+        default=5,
         help="vocabulary threshold when building from the corpus (default: 5)",
     )
     p.add_argument(
         "--variant",
         choices=VARIANTS,
-        default=None,
+        default=md.variant,
         help=f"knowledge model variant; 'sg' is text-only (default: {md.variant})",
     )
-    p.add_argument("--dim", type=int, default=None, help=f"embedding size d (default: {md.dim})")
+    p.add_argument("--dim", type=int, default=md.dim, help=f"embedding size d (default: {md.dim})")
     p.add_argument(
         "--head-rank", type=int, default=None,
         help=f"rank bound of the head projection (default: {md.head_rank})",
@@ -178,11 +179,11 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
         help=f"rank bound of the tail projection (default: {md.tail_rank})",
     )
     p.add_argument(
-        "--negatives", type=int, default=None,
+        "--negatives", type=int, default=md.negatives,
         help=f"noise words per text update (default: {md.negatives})",
     )
     p.add_argument(
-        "--margin", type=float, default=None,
+        "--margin", type=float, default=md.margin,
         help=f"ranking-loss margin gamma (default: {md.margin})",
     )
     p.add_argument(
@@ -191,22 +192,23 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
         f"skip-gram (default: {td.alpha}; paper grid {DEFAULT_ALPHA_GRID})",
     )
     p.add_argument(
-        "--lr", type=float, default=None,
+        "--lr", type=float, default=td.initial_lr,
         help=f"initial learning rate, decays linearly (default: {td.initial_lr})",
     )
-    p.add_argument("--epochs", type=int, default=None, help=f"(default: {td.epochs})")
+    p.add_argument("--epochs", type=int, default=td.epochs, help=f"(default: {td.epochs})")
     p.add_argument(
-        "--window", type=int, default=None,
+        "--window", type=int, default=td.window,
         help=f"context window radius (default: {td.window})",
     )
-    p.add_argument("--seed", type=int, default=None, help=f"(default: {td.seed})")
+    p.add_argument("--seed", type=int, default=td.seed, help=f"(default: {td.seed})")
     p.add_argument(
-        "--subsample", type=float, default=None,
+        "--subsample", type=float, default=td.subsample,
         help=f"frequent-word subsampling rate, 0 disables (default: {td.subsample})",
     )
     p.add_argument(
-        "--float32", choices=("true", "false"), default=None,
-        help=f"train in 32-bit floats (default: {str(td.use_float32).lower()})",
+        "--float32", type=_parse_bool, default=td.use_float32, metavar="{true,false}",
+        help="train in 32-bit floats: true/false, yes/no or 1/0 "
+        f"(default: {str(td.use_float32).lower()})",
     )
     # A config file may set any of these flags but --config, by its name
     # without the dashes; parsing no arguments lists them all.
@@ -214,27 +216,21 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.set_defaults(config_keys=frozenset(keys))
 
 
-def _read_config_file(path: str) -> dict[str, str]:
+def _config_flags(path: str, keys: frozenset[str]) -> list[str]:
+    """A config file's ``key=value`` lines as ``--key=value`` arguments."""
     values: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}: line {lineno}: expected key=value")
-            key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
-    return values
-
-
-def _resolve(args, cfg: dict[str, str], key: str, cast, default):
-    flag = getattr(args, key.replace("-", "_"), None)
-    if flag is not None:
-        return cast(flag) if isinstance(flag, str) else flag
-    if key in cfg:
-        return cast(cfg[key])
-    return default
+    for lineno, line in read_lines(path):
+        line = line.strip()
+        if line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}: line {lineno}: expected key=value")
+        key, _, value = line.partition("=")
+        values[key.strip()] = value.strip()
+    unknown = sorted(set(values) - keys)
+    if unknown:
+        raise ConfigError(f"{path}: unknown config keys {unknown}")
+    return [f"--{key}={value}" for key, value in values.items()]
 
 
 def _parse_bool(text: str) -> bool:
@@ -242,75 +238,65 @@ def _parse_bool(text: str) -> bool:
         return True
     if text.lower() in ("false", "0", "no"):
         return False
-    raise ValueError(f"expected true/false, got {text!r}")
+    raise argparse.ArgumentTypeError(f"expected true/false, got {text!r}")
 
 
-def _build_configs(args) -> tuple[ModelConfig, TrainConfig, dict[str, str]]:
-    cfg = _read_config_file(args.config) if args.config else {}
-    unknown = sorted(set(cfg) - args.config_keys)
-    if unknown:
-        raise ConfigError(f"{args.config}: unknown config keys {unknown}")
-    md, td = _MODEL_DEFAULTS, _TRAIN_DEFAULTS
-    dim = _resolve(args, cfg, "dim", int, md.dim)
+def _build_configs(args) -> tuple[ModelConfig, TrainConfig]:
     # Rank defaults keep the reference d=100 proportions (50/100 and 90/100)
     # when the user picks another dimension without pinning the ranks.
     model = ModelConfig(
-        variant=_resolve(args, cfg, "variant", str, md.variant),
-        dim=dim,
-        head_rank=_resolve(args, cfg, "head-rank", int, max(1, dim // 2)),
-        tail_rank=_resolve(args, cfg, "tail-rank", int, max(1, (dim * 9) // 10)),
-        negatives=_resolve(args, cfg, "negatives", int, md.negatives),
-        margin=_resolve(args, cfg, "margin", float, md.margin),
+        variant=args.variant,
+        dim=args.dim,
+        head_rank=max(1, args.dim // 2) if args.head_rank is None else args.head_rank,
+        tail_rank=max(1, args.dim * 9 // 10) if args.tail_rank is None else args.tail_rank,
+        negatives=args.negatives,
+        margin=args.margin,
     )
     # sg defaults to a pure-text run; an explicit contradictory --alpha still
     # reaches TrainConfig/train and fails loudly there.
-    alpha_default = 0.0 if model.variant == "sg" else td.alpha
-    alpha = _resolve(args, cfg, "alpha", float, alpha_default)
+    alpha_default = 0.0 if model.variant == "sg" else _TRAIN_DEFAULTS.alpha
     tcfg = TrainConfig(
-        alpha=alpha,
-        initial_lr=_resolve(args, cfg, "lr", float, td.initial_lr),
-        epochs=_resolve(args, cfg, "epochs", int, td.epochs),
-        window=_resolve(args, cfg, "window", int, td.window),
-        seed=_resolve(args, cfg, "seed", int, td.seed),
-        subsample=_resolve(args, cfg, "subsample", float, td.subsample),
-        use_float32=_resolve(args, cfg, "float32", _parse_bool, td.use_float32),
+        alpha=alpha_default if args.alpha is None else args.alpha,
+        initial_lr=args.lr,
+        epochs=args.epochs,
+        window=args.window,
+        seed=args.seed,
+        subsample=args.subsample,
+        use_float32=args.float32,
     )
-    return model, tcfg, cfg
+    return model, tcfg
 
 
-def _load_inputs(args, cfg, train_config):
+def _corpus_lines(path: str):
+    """A corpus file's lines; the corpus format has no line to reject."""
+    return (line for _, line in read_lines(path))
+
+
+def _load_inputs(args, train_config):
     """Read corpus/lexicon/vocab/triples per the resolved configuration."""
-    corpus_path = _resolve(args, cfg, "corpus", str, None)
-    triples_path = _resolve(args, cfg, "triples", str, None)
-    vocab_path = _resolve(args, cfg, "vocab", str, None)
-    lexicon_path = _resolve(args, cfg, "lexicon", str, None)
-    min_count = _resolve(args, cfg, "min-count", int, 5)
-
     need_text = train_config.alpha < 1.0
     need_kg = train_config.alpha > 0.0
-    if need_text and corpus_path is None:
+    if need_text and args.corpus is None:
         raise ConfigError("--corpus is required when alpha < 1")
-    if need_kg and triples_path is None:
+    if need_kg and args.triples is None:
         raise ConfigError("--triples is required when alpha > 0")
 
-    lexicon = load_phrase_lexicon(lexicon_path) if lexicon_path else []
-    if not (vocab_path or corpus_path):
+    lexicon = load_phrase_lexicon(args.lexicon) if args.lexicon else []
+    if not (args.vocab or args.corpus):
         raise ConfigError("need --vocab or --corpus to define the vocabulary")
-    vocab = Vocabulary.load(vocab_path) if vocab_path else None
+    vocab = Vocabulary.load(args.vocab) if args.vocab else None
     if vocab is not None and not lexicon:
         lexicon = [tuple(t.split("_")) for t in sorted(vocab.phrase_lexicon)]
     index = PhraseIndex(lexicon)
     if vocab is None:
-        with open(corpus_path, encoding="utf-8") as fh:
-            vocab = build_vocabulary(fh, min_count, index)
+        vocab = build_vocabulary(_corpus_lines(args.corpus), args.min_count, index)
 
     tokens: list[str] = []
-    if corpus_path:
-        with open(corpus_path, encoding="utf-8") as fh:
-            for line in fh:
-                tokens.extend(merge_phrases(tokenize(line), index))
+    if args.corpus:
+        for line in _corpus_lines(args.corpus):
+            tokens.extend(merge_phrases(tokenize(line), index))
 
-    triples = load_triples(triples_path, vocab) if triples_path else None
+    triples = load_triples(args.triples, vocab) if args.triples else None
     return tokens, vocab, triples
 
 
@@ -328,8 +314,7 @@ def _write_text(path: str, text: str) -> None:
 
 def cmd_build_vocab(args) -> int:
     lexicon = load_phrase_lexicon(args.lexicon) if args.lexicon else []
-    with open(args.corpus, encoding="utf-8") as fh:
-        vocab = build_vocabulary(fh, args.min_count, lexicon)
+    vocab = build_vocabulary(_corpus_lines(args.corpus), args.min_count, lexicon)
     vocab.save(args.output)
     print(f"wrote {len(vocab)} tokens to {args.output}")
     return EXIT_OK
@@ -344,8 +329,8 @@ def cmd_stats(args) -> int:
 
 
 def cmd_train(args) -> int:
-    model_config, train_config, cfg = _build_configs(args)
-    tokens, vocab, triples = _load_inputs(args, cfg, train_config)
+    model_config, train_config = _build_configs(args)
+    tokens, vocab, triples = _load_inputs(args, train_config)
     state, report = train(tokens, vocab, triples, model_config, train_config)
     save_checkpoint(state, args.checkpoint)
     if args.export:
@@ -388,8 +373,8 @@ def _parse_grid(text: str) -> list[int]:
 
 
 def cmd_rank_sweep(args) -> int:
-    model_config, train_config, cfg = _build_configs(args)
-    tokens, vocab, triples = _load_inputs(args, cfg, train_config)
+    model_config, train_config = _build_configs(args)
+    tokens, vocab, triples = _load_inputs(args, train_config)
     if triples is None:
         raise ConfigError("rank-sweep requires --triples")
     questions = evaluation.load_analogy_questions(args.questions)

@@ -10,7 +10,7 @@ import string
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -31,6 +31,35 @@ _INT64_MAX = np.iinfo(np.int64).max
 
 _EDGE_PUNCT = string.punctuation
 _TOKEN_PUNCT = string.punctuation.replace(PHRASE_SEP, "")
+
+
+def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """Yield ``(line number, line)`` for each non-blank line of a UTF-8 text
+    file, its newline removed.  Line numbers count every line from 1, blank
+    ones included; ``\\n``, ``\\r\\n`` and ``\\r`` all end a line.
+
+    Bytes that are not UTF-8 raise ParseError naming the line of the first
+    bad byte.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                if not line.isspace():
+                    yield lineno, line.rstrip("\n")
+    except UnicodeDecodeError:
+        # The text layer decodes in chunks, so neither its error nor the
+        # lines yielded so far place the bad byte; the whole file does.
+        raw = Path(path).read_bytes()
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            head = raw[: exc.start].decode("utf-8")
+            lineno = 1 + head.count("\n") + head.count("\r") - head.count("\r\n")
+            raise ParseError(
+                f"{path}: line {lineno}: can't decode byte "
+                f"0x{raw[exc.start]:02x}: {exc.reason}"
+            ) from None
+        raise  # the file changed between the two reads
 
 
 def tokenize(text: str) -> list[str]:
@@ -130,19 +159,18 @@ def load_phrase_lexicon(path: str | Path) -> list[tuple[str, ...]]:
     entries are dropped, first occurrence wins."""
     entries: list[tuple[str, ...]] = []
     seen: set[tuple[str, ...]] = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            words = tuple(tokenize(line))
-            if not words:
-                continue
-            if len(words) > MAX_PHRASE_WORDS:
-                raise ParseError(
-                    f"{path}: line {lineno}: entity name longer than "
-                    f"{MAX_PHRASE_WORDS} words"
-                )
-            if words not in seen:
-                seen.add(words)
-                entries.append(words)
+    for lineno, line in read_lines(path):
+        words = tuple(tokenize(line))
+        if not words:
+            continue
+        if len(words) > MAX_PHRASE_WORDS:
+            raise ParseError(
+                f"{path}: line {lineno}: entity name longer than "
+                f"{MAX_PHRASE_WORDS} words"
+            )
+        if words not in seen:
+            seen.add(words)
+            entries.append(words)
     return entries
 
 
@@ -194,43 +222,40 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
-        with open(path, encoding="utf-8") as fh:
-            header = fh.readline().rstrip("\n")
-            parts = header.split()
-            if len(parts) != 2 or parts[0] != "#vocab":
-                raise ParseError(f"{path}: line 1: expected '#vocab <size>' header")
+        lines = read_lines(path)
+        lineno, header = next(lines, (1, ""))
+        parts = header.split()
+        if lineno != 1 or len(parts) != 2 or parts[0] != "#vocab":
+            raise ParseError(f"{path}: line 1: expected '#vocab <size>' header")
+        try:
+            size = int(parts[1])
+        except ValueError:
+            raise ParseError(f"{path}: line 1: bad vocabulary size") from None
+        counts: dict[str, int] = {}
+        for lineno, line in lines:
+            cols = line.split("\t")
+            if len(cols) != 2:
+                raise ParseError(
+                    f"{path}: line {lineno}: expected 'token<TAB>count'"
+                )
+            token, text = cols
             try:
-                size = int(parts[1])
+                count = int(text)
             except ValueError:
-                raise ParseError(f"{path}: line 1: bad vocabulary size") from None
-            counts: dict[str, int] = {}
-            for lineno, line in enumerate(fh, 2):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                cols = line.split("\t")
-                if len(cols) != 2:
-                    raise ParseError(
-                        f"{path}: line {lineno}: expected 'token<TAB>count'"
-                    )
-                token, text = cols
-                try:
-                    count = int(text)
-                except ValueError:
-                    count = -1
-                if not 0 <= count <= _INT64_MAX:
-                    raise ParseError(
-                        f"{path}: line {lineno}: bad count {text!r}; "
-                        "expected an integer in 0..2**63-1"
-                    )
-                if token in counts:
-                    raise ParseError(f"{path}: line {lineno}: duplicate token {token!r}")
-                if token.count(PHRASE_SEP) >= MAX_PHRASE_WORDS:
-                    raise ParseError(
-                        f"{path}: line {lineno}: token longer than "
-                        f"{MAX_PHRASE_WORDS} words"
-                    )
-                counts[token] = count
+                count = -1
+            if not 0 <= count <= _INT64_MAX:
+                raise ParseError(
+                    f"{path}: line {lineno}: bad count {text!r}; "
+                    "expected an integer in 0..2**63-1"
+                )
+            if token in counts:
+                raise ParseError(f"{path}: line {lineno}: duplicate token {token!r}")
+            if token.count(PHRASE_SEP) >= MAX_PHRASE_WORDS:
+                raise ParseError(
+                    f"{path}: line {lineno}: token longer than "
+                    f"{MAX_PHRASE_WORDS} words"
+                )
+            counts[token] = count
         if len(counts) != size:
             raise ParseError(
                 f"{path}: header claims {size} tokens, file has {len(counts)}"

@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .corpus import Vocabulary, normalize_token
+from .corpus import Vocabulary, normalize_token, read_lines
 from .errors import ConfigError, ParseError, UndefinedCorrelationError
 from .kg import TripleSet
 from .model import ModelConfig
@@ -115,48 +115,41 @@ def load_analogy_questions(path: str | Path) -> list[AnalogyQuestion]:
     whitespace-separated tokens per line."""
     questions: list[AnalogyQuestion] = []
     relation = "all"
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith(":"):
-                relation = line[1:].strip() or "all"
-                continue
-            toks = [normalize_token(t) for t in line.split()]
-            if len(toks) != 4:
-                raise ParseError(
-                    f"{path}: line {lineno}: expected 4 tokens, got {len(toks)}"
-                )
-            try:
-                questions.append(AnalogyQuestion(*toks, relation=relation))
-            except ValueError as exc:
-                raise ParseError(f"{path}: line {lineno}: {exc}") from None
+    for lineno, line in read_lines(path):
+        line = line.strip()
+        if line.startswith(":"):
+            relation = line[1:].strip() or "all"
+            continue
+        toks = [normalize_token(t) for t in line.split()]
+        if len(toks) != 4:
+            raise ParseError(
+                f"{path}: line {lineno}: expected 4 tokens, got {len(toks)}"
+            )
+        try:
+            questions.append(AnalogyQuestion(*toks, relation=relation))
+        except ValueError as exc:
+            raise ParseError(f"{path}: line {lineno}: {exc}") from None
     return questions
 
 
 def load_similarity_pairs(path: str | Path) -> list[SimilarityPair]:
     """``word1<TAB>word2<TAB>score`` per line."""
     pairs: list[SimilarityPair] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            cols = line.split("\t")
-            if len(cols) != 3:
-                raise ParseError(
-                    f"{path}: line {lineno}: expected 'word1<TAB>word2<TAB>score'"
-                )
-            try:
-                pair = SimilarityPair(
-                    normalize_token(cols[0]), normalize_token(cols[1]), float(cols[2])
-                )
-            except ValueError:
-                raise ParseError(
-                    f"{path}: line {lineno}: bad score {cols[2]!r}; expected a finite number"
-                ) from None
-            pairs.append(pair)
+    for lineno, line in read_lines(path):
+        cols = line.split("\t")
+        if len(cols) != 3:
+            raise ParseError(
+                f"{path}: line {lineno}: expected 'word1<TAB>word2<TAB>score'"
+            )
+        try:
+            pair = SimilarityPair(
+                normalize_token(cols[0]), normalize_token(cols[1]), float(cols[2])
+            )
+        except ValueError:
+            raise ParseError(
+                f"{path}: line {lineno}: bad score {cols[2]!r}; expected a finite number"
+            ) from None
+        pairs.append(pair)
     return pairs
 
 
@@ -305,18 +298,14 @@ def run_analogy_suite(
 
 
 def fractional_ranks(values: Sequence[float]) -> np.ndarray:
-    """1-based ranks; tied values share the mean of their positions."""
-    values = np.asarray(values, dtype=np.float64)
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values))
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    """1-based ranks; tied values share the mean of their positions.  All
+    NaNs tie with each other."""
+    _, group, sizes = np.unique(
+        np.asarray(values, dtype=np.float64), return_inverse=True, return_counts=True
+    )
+    # A group of equal values fills positions last - size + 1 .. last.
+    last = np.cumsum(sizes)
+    return (last - 0.5 * (sizes - 1))[group]
 
 
 def spearman_rho(

@@ -4,14 +4,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .corpus import Vocabulary, read_lines
 from .errors import CorruptionExhaustedError, EmptyKGError, ParseError
-
-if TYPE_CHECKING:
-    from .corpus import Vocabulary
 
 # Draws corrupt_triple makes before it gives up.
 CORRUPT_ATTEMPTS = 100
@@ -63,7 +60,7 @@ class TripleSet:
 
 
 def load_triples(
-    path: str | Path, entity_filter: "Vocabulary | None" = None
+    path: str | Path, entity_filter: Vocabulary | None = None
 ) -> TripleSet:
     """Parse a ``head<TAB>relation<TAB>tail`` TSV file into a TripleSet.
 
@@ -79,34 +76,30 @@ def load_triples(
     rows: list[tuple[int, int, int]] = []
     seen: set[tuple[int, int, int]] = set()
 
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            cols = line.split("\t")
-            if len(cols) != 3 or not all(c.strip() for c in cols):
-                raise ParseError(
-                    f"{path}: line {lineno}: expected 'head<TAB>relation<TAB>tail'"
-                )
-            head, rel, tail = (c.strip() for c in cols)
-            if entity_filter is not None and (
-                head not in entity_filter or tail not in entity_filter
-            ):
-                continue
-            if head not in ent_idx:
-                ent_idx[head] = len(entity_names)
-                entity_names.append(head)
-            if tail not in ent_idx:
-                ent_idx[tail] = len(entity_names)
-                entity_names.append(tail)
-            if rel not in rel_idx:
-                rel_idx[rel] = len(relation_names)
-                relation_names.append(rel)
-            row = (ent_idx[head], rel_idx[rel], ent_idx[tail])
-            if row not in seen:
-                seen.add(row)
-                rows.append(row)
+    for lineno, line in read_lines(path):
+        cols = line.split("\t")
+        if len(cols) != 3 or not all(c.strip() for c in cols):
+            raise ParseError(
+                f"{path}: line {lineno}: expected 'head<TAB>relation<TAB>tail'"
+            )
+        head, rel, tail = (c.strip() for c in cols)
+        if entity_filter is not None and (
+            head not in entity_filter or tail not in entity_filter
+        ):
+            continue
+        if head not in ent_idx:
+            ent_idx[head] = len(entity_names)
+            entity_names.append(head)
+        if tail not in ent_idx:
+            ent_idx[tail] = len(entity_names)
+            entity_names.append(tail)
+        if rel not in rel_idx:
+            rel_idx[rel] = len(relation_names)
+            relation_names.append(rel)
+        row = (ent_idx[head], rel_idx[rel], ent_idx[tail])
+        if row not in seen:
+            seen.add(row)
+            rows.append(row)
 
     if not rows:
         raise EmptyKGError(f"{path}: no triples survived loading")

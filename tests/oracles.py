@@ -6,7 +6,8 @@ binary form: the generator of skip-gram pairs behind
 files ``kgvec.model.save_embeddings_text`` writes, the per-step form of the
 trainer's learning-rate schedule, the identity map in factor form, the
 relation-by-relation search behind
-``kgvec.evaluation.RelationalAnalogy.best_relation``, and the golden and
+``kgvec.evaluation.RelationalAnalogy.best_relation``, the tie-by-tie walk
+over a sort behind ``kgvec.evaluation.fractional_ranks``, and the golden and
 corrupted triples' gradients taken one at a time, as differences of outer
 products, behind the stacked ``grads`` of ``LowRankRelation``,
 ``SERelation`` and ``TransRRelation``.
@@ -109,6 +110,21 @@ def best_relation_loop(state, a: str, b: str) -> tuple[int, list[float]]:
         e = head @ va + rel - tail @ vb
         fits.append(float(e @ e))
     return int(np.argmin(fits)), fits
+
+
+def fractional_ranks_loop(values: Sequence[float]) -> np.ndarray:
+    """1-based ranks; tied values share the mean of their positions."""
+    values = np.asarray(values, dtype=np.float64)
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(len(values))
+    i = 0
+    while i < len(values):
+        j = i
+        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
 
 
 def lowrank_grads_outer(params, head, tail, corrupt_head, corrupt_tail, relation):

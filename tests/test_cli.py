@@ -228,6 +228,26 @@ class TestTrain:
             subsample=0.0, use_float32=True,
         )
 
+    @pytest.mark.parametrize(
+        "value, float32",
+        [("false", False), ("no", False), ("0", False), ("True", True), ("yes", True),
+         ("1", True), ("x", None)],
+    )
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_float32_takes_a_boolean_word(self, tmp_path, corpus_file, capsys,
+                                          source, value, float32):
+        cfg = write(tmp_path / "run.cfg", f"float32={value}\n")
+        given = ["--config", cfg] if source == "config" else ["--float32", value]
+        ck = tmp_path / "model.kgv"
+        rc = main(["train", "--corpus", corpus_file, "--variant", "sg", "--min-count", "1",
+                   "--dim", "4", "--epochs", "1", *given, "--checkpoint", str(ck)])
+        if float32 is None:
+            assert rc == 1
+            assert "expected true/false, got 'x'" in capsys.readouterr().err
+        else:
+            assert rc == 0
+            assert load_checkpoint(ck).train_config.use_float32 is float32
+
     def test_alpha_validation_is_usage_error(self, tmp_path, corpus_file,
                                              triples_file, capsys):
         rc = main(["train", "--corpus", corpus_file, "--triples", triples_file,
@@ -435,6 +455,7 @@ class TestRankSweepCommand:
             (["--head-ranks", "", "--tail-ranks", "7"], "rank grid is empty"),
             (["--head-ranks", "2", "--tail-ranks", "7", "--variant", "transe"],
              "lowrank models only"),
+            (["--head-ranks", "1,x", "--tail-ranks", "7"], "bad rank grid '1,x'"),
         ],
     )
     def test_bad_grid_exits_1_before_training(
@@ -513,6 +534,7 @@ class TestCheckpointHeaders:
             pytest.param(lambda h: h["vocab"].update(min_count="1"), id="str-min-count"),
             pytest.param(lambda h: h.update(relations=[7]), id="int-relations"),
             pytest.param(lambda h: h.update(relations="maps"), id="str-relations"),
+            pytest.param(lambda h: h.update(model=[1]), id="list-model"),
         ],
     )
     def test_malformed_header_is_data_error(self, tmp_path, checkpoint, edit, capsys):
@@ -830,6 +852,18 @@ def lexicon_texts():
     return lines_of(st.lists(word, max_size=10).map(" ".join))
 
 
+def config_texts():
+    """Config-file text: mostly ``key=value`` lines over the train flags."""
+    key = st.sampled_from(
+        ["dim", "variant", "seed", "negatives", "float32", "subsample", "margin",
+         "min-count", "lexicon", "epohcs", "config", " "]
+    ) | st.text(max_size=3)
+    value = st.sampled_from(
+        ["1", "0", "2", "-1", "yes", "no", "sg", "transe", "nan", "1e9", ""]
+    ) | st.text(max_size=3)
+    return lines_of(st.tuples(key, value).map("=".join) | st.just("# note"))
+
+
 def corpus_vocabulary_texts():
     """Vocabulary text over the parser corpus's words, mostly well-formed."""
     token = st.sampled_from(
@@ -858,11 +892,11 @@ def check_loader(load, path, *allowed):
 @given(raw=as_bytes(triple_texts()))
 @example(raw=b"x1\tmaps\ty1\n\xff\n")
 def test_triple_bytes_load_or_are_data_errors(parser_inputs, raw):
-    """Any bytes as a triple file load or raise ParseError, EmptyKGError (no
-    triple at all) or UnicodeDecodeError, and ``kgvec stats`` exits 0 or 2."""
+    """Any bytes as a triple file load or raise ParseError or EmptyKGError (no
+    triple at all), and ``kgvec stats`` exits 0 or 2."""
     path = parser_inputs / "fuzz-kg.tsv"
     path.write_bytes(raw)
-    check_loader(load_triples, path, EmptyKGError, UnicodeDecodeError)
+    check_loader(load_triples, path, EmptyKGError)
     rc, err = run_quietly(["stats", "--triples", str(path),
                            "--output", str(parser_inputs / "stats.tsv")])
     assert rc in (0, 2), err
@@ -872,11 +906,11 @@ def test_triple_bytes_load_or_are_data_errors(parser_inputs, raw):
 @given(raw=as_bytes(question_texts()))
 @example(raw=b"x1 y1 x2 y2\n\xff\n")
 def test_question_bytes_load_or_are_data_errors(parser_inputs, raw):
-    """Any bytes as a question file load or raise ParseError or
-    UnicodeDecodeError, and ``kgvec eval-analogy`` exits 0 or 2."""
+    """Any bytes as a question file load or raise ParseError, and
+    ``kgvec eval-analogy`` exits 0 or 2."""
     path = parser_inputs / "fuzz-questions.txt"
     path.write_bytes(raw)
-    check_loader(load_analogy_questions, path, UnicodeDecodeError)
+    check_loader(load_analogy_questions, path)
     rc, err = run_quietly(["eval-analogy", "--checkpoint", str(parser_inputs / "model.kgv"),
                            "--questions", str(path),
                            "--output", str(parser_inputs / "analogy.tsv")])
@@ -887,11 +921,11 @@ def test_question_bytes_load_or_are_data_errors(parser_inputs, raw):
 @given(raw=as_bytes(lexicon_texts()))
 @example(raw=b"new york\n\xff\n")
 def test_lexicon_bytes_load_or_are_data_errors(parser_inputs, raw):
-    """Any bytes as a phrase lexicon load or raise ParseError or
-    UnicodeDecodeError, and ``kgvec build-vocab --lexicon`` exits 0 or 2."""
+    """Any bytes as a phrase lexicon load or raise ParseError, and
+    ``kgvec build-vocab --lexicon`` exits 0 or 2."""
     path = parser_inputs / "fuzz-lexicon.txt"
     path.write_bytes(raw)
-    check_loader(load_phrase_lexicon, path, UnicodeDecodeError)
+    check_loader(load_phrase_lexicon, path)
     rc, err = run_quietly(["build-vocab", "--corpus", str(parser_inputs / "corpus.txt"),
                            "--lexicon", str(path), "--min-count", "1",
                            "--output", str(parser_inputs / "built.tsv")])
@@ -903,16 +937,48 @@ def test_lexicon_bytes_load_or_are_data_errors(parser_inputs, raw):
 @example(raw=b"#vocab 2\nx1\t3\na_b_c_d_e_f_g_h_i\t2\n")
 @example(raw=b"#vocab 2\nx1\t3\ny1\t\xff2\n")
 def test_vocabulary_bytes_load_or_are_data_errors(parser_inputs, raw):
-    """Any bytes as a vocabulary file load or raise ParseError or
-    UnicodeDecodeError, and ``kgvec train --vocab`` exits 0 or 2."""
+    """Any bytes as a vocabulary file load or raise ParseError, and
+    ``kgvec train --vocab`` exits 0 or 2."""
     path = parser_inputs / "fuzz-vocab.tsv"
     path.write_bytes(raw)
-    check_loader(Vocabulary.load, path, UnicodeDecodeError)
+    check_loader(Vocabulary.load, path)
     rc, err = run_quietly(["train", "--corpus", str(parser_inputs / "corpus.txt"),
                            "--vocab", str(path), "--alpha", "0", "--dim", "4",
                            "--epochs", "1", "--window", "1",
                            "--checkpoint", str(parser_inputs / "fuzz.kgv")])
     assert rc in (0, 2), err
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(raw=as_bytes(similarity_texts()))
+@example(raw=b"x1\ty1\t1.0\n\xff\n")
+def test_similarity_bytes_load_or_are_data_errors(parser_inputs, raw):
+    """Any bytes as a similarity file load or raise ParseError, and
+    ``kgvec eval-similarity`` exits 0 or 2."""
+    path = parser_inputs / "fuzz-sim.tsv"
+    path.write_bytes(raw)
+    check_loader(load_similarity_pairs, path)
+    rc, err = run_quietly(["eval-similarity", "--checkpoint", str(parser_inputs / "model.kgv"),
+                           "--pairs", str(path), "--output", str(parser_inputs / "sim.out")])
+    assert rc in (0, 2), err
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(raw=as_bytes(config_texts()))
+@example(raw=b"seed=2\n\xff\n")
+@example(raw=b"float32=yes\nnegatives=0\n")
+def test_config_bytes_train_or_exit_1_or_2(parser_inputs, raw):
+    """Any bytes as a config file make ``kgvec train --config`` exit 0, 1 (a
+    bad key or value) or 2 (a file it cannot read), never with a traceback.
+    The command line pins what could make training slow or diverge."""
+    path = parser_inputs / "fuzz.cfg"
+    path.write_bytes(raw)
+    rc, err = run_quietly(["train", "--config", str(path),
+                           "--corpus", str(parser_inputs / "corpus.txt"), "--alpha", "0",
+                           "--lr", "0.025", "--dim", "4", "--epochs", "1", "--window", "1",
+                           "--checkpoint", str(parser_inputs / "fuzz-cfg.kgv")])
+    assert rc in (0, 1, 2), err
+    assert "Traceback" not in err
 
 
 class TestMalformedFiles:
@@ -967,6 +1033,52 @@ class TestMalformedFiles:
             [a.format(bad=bad, corpus=corpus_file, model=model, out=out) for a in argv]
         )
         assert rc == 2
+        assert "can't decode byte 0xe9" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["build-vocab", "--corpus", "{bad}", "--output", "{out}"], "the king {i}"),
+            (["train", "--corpus", "{bad}", "--alpha", "0", "--checkpoint", "{out}"],
+             "the king {i}"),
+            (["build-vocab", "--corpus", "{corpus}", "--lexicon", "{bad}", "--output", "{out}"],
+             "old town {i}"),
+            (["train", "--corpus", "{corpus}", "--vocab", "{bad}", "--alpha", "0",
+              "--checkpoint", "{out}"], "token{i}\t{i}"),
+            (["stats", "--triples", "{bad}", "--output", "{out}"], "e{i}\tr\tf{i}"),
+            (["eval-analogy", "--checkpoint", "{model}", "--questions", "{bad}",
+              "--output", "{out}"], "a{i} b{i} c{i} d{i}"),
+            (["eval-similarity", "--checkpoint", "{model}", "--pairs", "{bad}",
+              "--output", "{out}"], "x{i}\ty{i}\t{i}"),
+            (["train", "--config", "{bad}", "--corpus", "{corpus}", "--checkpoint", "{out}"],
+             "seed={i}"),
+        ],
+        ids=["corpus-build-vocab", "corpus-train", "lexicon", "vocabulary", "triples",
+             "questions", "similarity", "config"],
+    )
+    def test_bad_byte_deep_in_a_file_names_its_line(self, tmp_path, corpus_file, argv, line):
+        """The first non-UTF-8 byte, more than 8 KiB into a file of every
+        input format, is reported by file and line.  Line numbers count the
+        whitespace-only lines and every kind of line ending."""
+        lines = ["#vocab 9999"] if "--vocab" in argv else []
+        for i in range(1200):
+            if i % 7 == 0:
+                lines.append(" \t")
+            lines.append(line.format(i=i))
+        endings = ("\n", "\r\n", "\r")
+        head = "".join(text + endings[k % 3] for k, text in enumerate(lines)).encode()
+        assert len(head) > 8192
+        bad = tmp_path / "deep.txt"
+        bad.write_bytes(head + b"r\xe9gion\tr\tking\n")
+        model = tmp_path / "model.kgv"
+        save_checkpoint(perfect_analogy_state(), model)
+        out = tmp_path / "out"
+        rc, err = run_quietly(
+            [a.format(bad=bad, corpus=corpus_file, model=model, out=out) for a in argv]
+        )
+        assert rc == 2, err
+        assert f"{bad}: line {len(lines) + 1}: " in err
         assert "can't decode byte 0xe9" in err
         assert not out.exists()
 

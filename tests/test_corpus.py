@@ -2,6 +2,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import kgvec.corpus
 from kgvec.corpus import (
@@ -60,15 +61,25 @@ class TestMergePhrases:
         lex = [("john", "f", "kennedy"), ("john", "f")]
         assert merge_phrases(["john", "f", "x"], lex) == ["john_f", "x"]
 
-    def test_idempotent_on_random_sequences(self):
-        rng = np.random.default_rng(7)
-        words = list("abcdef")
-        lex = [("a", "b"), ("c", "d", "e"), ("f",)]
-        for _ in range(50):
-            toks = [words[i] for i in rng.integers(0, len(words), size=30)]
-            once = merge_phrases(toks, lex)
-            assert merge_phrases(once, lex) == once
-            assert len(once) <= len(toks)
+    # Some words are others run together, so a merge that lost its
+    # separator would make tokens a second pass could merge again.
+    WORDS = st.sampled_from(["a", "b", "c", "ab", "bc", "abc"])
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        toks=st.lists(WORDS, max_size=30),
+        lex=st.lists(st.lists(WORDS, min_size=1, max_size=4).map(tuple), max_size=6),
+    )
+    @example(toks=["a", "b", "c"], lex=[("a", "b"), ("ab", "c")])
+    def test_idempotent_on_random_sequences(self, toks, lex):
+        """Merging a merged sequence again changes nothing, with the lexicon
+        as a list and as a PhraseIndex."""
+        once = merge_phrases(toks, lex)
+        assert merge_phrases(once, lex) == once
+        index = PhraseIndex(lex)
+        assert merge_phrases(toks, index) == once
+        assert merge_phrases(once, index) == once
+        assert len(once) <= len(toks)
 
     def test_entry_too_long_rejected(self):
         with pytest.raises(ValueError):
@@ -201,6 +212,21 @@ class TestVocabularyFile:
         with pytest.raises(ParseError):
             Vocabulary.load(path)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("#vocab x\na\t1\n", "line 1: bad vocabulary size"),
+            ("\n#vocab 1\na\t1\n", "line 1: expected '#vocab <size>' header"),
+            ("", "line 1: expected '#vocab <size>' header"),
+        ],
+        ids=["size-not-an-integer", "header-on-line-2", "empty-file"],
+    )
+    def test_bad_header_names_line_1(self, tmp_path, text, message):
+        path = tmp_path / "vocab.tsv"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=re.escape(f"{path}: {message}")):
+            Vocabulary.load(path)
+
     def test_size_mismatch_raises(self, tmp_path):
         path = tmp_path / "vocab.tsv"
         path.write_text("#vocab 3\na\t1\n")
@@ -230,6 +256,15 @@ class TestVocabularyFile:
             Vocabulary.load(path)
         path.write_text(f"#vocab 1\n{longest}\t3\n")
         assert Vocabulary.load(path).phrase_lexicon == {longest}
+
+    @pytest.mark.parametrize(
+        "tokens, counts, message",
+        [(["a", "b"], [1], "length mismatch"), (["a", "a"], [1, 1], "duplicate tokens")],
+        ids=["length-mismatch", "duplicate-token"],
+    )
+    def test_inconsistent_tokens_rejected(self, tokens, counts, message):
+        with pytest.raises(ValueError, match=message):
+            Vocabulary(tokens, np.array(counts))
 
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError, match="negative token count"):
@@ -282,6 +317,10 @@ class TestNegativeTable:
         vocab = Vocabulary(["a", "b"], np.array([0, 0]))
         with pytest.raises(DegenerateDistributionError):
             build_negative_table(vocab)
+
+    def test_empty_vocabulary_rejected(self):
+        with pytest.raises(ValueError, match="vocabulary is empty"):
+            build_negative_table(Vocabulary([], np.array([], dtype=np.int64)))
 
     def test_table_size_must_cover_vocab(self, monkeypatch):
         monkeypatch.setattr(kgvec.corpus, "NEGATIVE_TABLE_SIZE", 2)
@@ -358,17 +397,15 @@ class TestContextPairs:
             ]
             assert got == brute_force_pairs(toks, vocab, window)
 
-    def test_array_form_matches_generator(self):
-        rng = np.random.default_rng(5)
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(ids=st.lists(st.integers(0, 4), max_size=40), window=st.integers(1, 8))
+    def test_array_form_matches_generator(self, ids, window):
         vocab = self._vocab("abcde")
-        for _ in range(30):
-            n = int(rng.integers(0, 40))
-            toks = [vocab.tokens[i] for i in rng.integers(0, 5, size=n)]
-            window = int(rng.integers(1, 5))
-            centers, contexts = context_pair_arrays(vocab.encode(toks), window)
-            expected = list(stream_context_pairs(toks, vocab, window))
-            assert centers.tolist() == [p.center for p in expected]
-            assert contexts.tolist() == [p.context for p in expected]
+        toks = [vocab.tokens[i] for i in ids]
+        centers, contexts = context_pair_arrays(np.asarray(ids, dtype=np.int64), window)
+        expected = list(stream_context_pairs(toks, vocab, window))
+        assert centers.tolist() == [p.center for p in expected]
+        assert contexts.tolist() == [p.context for p in expected]
 
     def test_subsampling_needs_rng(self):
         vocab = self._vocab("ab")

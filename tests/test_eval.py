@@ -27,7 +27,7 @@ from kgvec.model import (
 )
 from kgvec.projection import LowRankProjection
 from kgvec.trainer import ModelState, TrainConfig
-from oracles import best_relation_loop, identity_projection
+from oracles import best_relation_loop, fractional_ranks_loop, identity_projection
 from synthdata import relation_world
 
 
@@ -316,6 +316,8 @@ class TestRelationalAnalogy:
         predictor = make_analogy_predictor(state, "relational")
         want = analogy_3cosadd("a", "b", "c", vocab, vectors)
         assert predictor("a", "b", "c") == want
+        with pytest.raises(ValueError, match="'transe' has no relational mode"):
+            RelationalAnalogy(state)
 
     def test_unknown_mode_rejected(self):
         vocab = make_vocab(["a", "b"])
@@ -495,11 +497,27 @@ class TestSpearman:
     def test_fractional_ranks_average_ties(self):
         assert fractional_ranks([10, 20, 20, 30]).tolist() == [1.0, 2.5, 2.5, 4.0]
 
+    def test_fractional_ranks_equal_the_loop_oracle_bitwise(self):
+        rng = np.random.default_rng(23)
+        cases = [
+            rng.integers(0, 6, size=int(rng.integers(1, 60))).astype(np.float64)
+            for _ in range(40)
+        ] + [
+            np.round(rng.standard_normal(int(rng.integers(1, 60))), 1) for _ in range(40)
+        ]
+        cases += [np.full(9, 2.5), np.array([7.0]), np.array([0.0, -0.0, 1.0, -0.0])]
+        for values in cases:
+            got, want = fractional_ranks(values), fractional_ranks_loop(values)
+            assert got.dtype == want.dtype == np.float64
+            assert got.tobytes() == want.tobytes(), values
+
     def test_undefined_cases(self):
         with pytest.raises(UndefinedCorrelationError):
             spearman_rho([1.0], [2.0])
         with pytest.raises(UndefinedCorrelationError):
             spearman_rho([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="equally long"):
+            spearman_rho([1.0, 2.0, 3.0], [1.0, 2.0])
 
 
 class TestSimilaritySuite:

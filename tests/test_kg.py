@@ -97,6 +97,22 @@ def brute_force_stats(ts):
     return tph, hpt
 
 
+class TestTripleSet:
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([(0, 0, 1), (0, 0, 1)], "duplicate triples"),
+            ([(0, 0, 2)], "out of range"),
+            ([(0, 1, 1)], "out of range"),
+            ([(-1, 0, 1)], "out of range"),
+        ],
+        ids=["duplicate", "entity-past-end", "relation-past-end", "negative"],
+    )
+    def test_bad_rows_rejected(self, rows, message):
+        with pytest.raises(ValueError, match=message):
+            make_triple_set(rows, 2, 1)
+
+
 class TestMappingStats:
     def test_two_heads_one_tail(self):
         ts = make_triple_set([(0, 0, 2), (1, 0, 2)], 3, 1)
@@ -112,6 +128,10 @@ class TestMappingStats:
         assert stats.tails_per_head[0] == 1.0
         assert stats.heads_per_tail[0] == 1.0
         assert stats.tph_std == 0.0
+
+    def test_empty_set_rejected(self):
+        with pytest.raises(ValueError, match="triple set is empty"):
+            compute_mapping_stats(make_triple_set([], 2, 1))
 
     def test_matches_brute_force_on_random_kgs(self):
         rng = np.random.default_rng(17)

@@ -53,6 +53,11 @@ class TestModelConfig:
         with pytest.raises(ValueError, match=field):
             ModelConfig(**{"dim": 4, "head_rank": 2, "tail_rank": 2, field: value})
 
+    @pytest.mark.parametrize("field", ["dim", "negatives"])
+    def test_size_below_one_rejected(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+            ModelConfig(**{"dim": 4, "head_rank": 2, "tail_rank": 2, field: 0})
+
     def test_numpy_integers_accepted(self):
         cfg = ModelConfig(dim=np.int64(4), head_rank=np.int32(2), tail_rank=2)
         assert cfg.dim == 4
@@ -171,6 +176,13 @@ class TestKnowledgeLossGrad:
         ch = np.array([np.sqrt(1.2)])  # f_corrupt = 1.2
         g = knowledge_loss_grad(cfg, TransERelation(), h, t, ch, t, r)
         assert g.loss == pytest.approx(0.8, abs=1e-12)
+
+    def test_overflowing_hinge_raises(self):
+        # margin + f_golden = 1e308 + 1e308 overflows; both scores are finite
+        cfg = ModelConfig(variant="transe", dim=1, margin=1e308)
+        z = np.zeros(1)
+        with pytest.raises(NumericError, match="non-finite knowledge loss"):
+            knowledge_loss_grad(cfg, TransERelation(), np.array([1e154]), z, z, z, z)
 
     def test_loss_bounds(self):
         rng = np.random.default_rng(2)

@@ -35,6 +35,12 @@ class TestApply:
         proj = identity_projection(3)
         with pytest.raises(ValueError):
             proj.apply(np.zeros(4))
+        with pytest.raises(ValueError):
+            proj.apply_transpose(np.zeros(4))
+
+    def test_factor_shapes_must_match_weights(self):
+        with pytest.raises(ValueError, match="factor shapes"):
+            LowRankProjection(np.ones(2), np.eye(3), np.eye(3)[:2])
 
     def test_agrees_with_materialize_to_1e12(self):
         rng = np.random.default_rng(0)

@@ -100,6 +100,11 @@ class TestTrainConfig:
         with pytest.raises(ConfigError, match="must be an integer"):
             TrainConfig(**bad)
 
+    @pytest.mark.parametrize("field", ["epochs", "window"])
+    def test_count_below_one_rejected(self, field):
+        with pytest.raises(ConfigError, match=f"{field} must be >= 1"):
+            TrainConfig(**{field: 0})
+
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigError, match="seed must be >= 0"):
             TrainConfig(seed=-1)

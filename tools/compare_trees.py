@@ -15,6 +15,10 @@ the first line that differs (exit status 1).  The digests are:
   name: ``input``, ``output``, ``relations`` and ``rel.<name>`` for the
   ``(R, *shape)`` stack of each relation array.  No digest reads the file's
   bytes, so trees whose checkpoint formats differ still compare.
+* **Config files.**  The same digests for a ``lowrank`` run whose
+  ``--config`` file sets every train flag (with a vocabulary built by
+  ``kgvec build-vocab`` and a one-phrase lexicon), then for the same run
+  with ``--dim`` on the command line overriding the file's value.
 * **Analogy answers.**  Two ``lowrank`` states are trained at fixed seeds:
   ``relation_world`` (d=32, 200 questions) and the 56-relation knowledge
   graph ``kgworld`` from ``perfbench/worlds.py`` (d=100, 2 epochs as in the
@@ -111,9 +115,31 @@ def _named_arrays(state):
         yield f"rel.{name}", np.stack([p.arrays()[name] for p in state.params])
 
 
+def _print_run(run: str, report, ckpt: Path) -> None:
+    """The final loss and the digests of the checkpoint one run wrote."""
+    from kgvec.trainer import load_checkpoint
+
+    state = load_checkpoint(ckpt)
+    vocab = state.vocab
+    meta = [
+        dataclasses.asdict(state.model_config),
+        dataclasses.asdict(state.train_config),
+        vocab.tokens,
+        vocab.counts.tolist(),
+        vocab.min_count,
+        sorted(vocab.phrase_lexicon),
+        state.relation_names,
+    ]
+    print(f"{run}\tfinal_loss {report.final_combined!r}")
+    print(f"{run}\tstate {hashlib.sha256(json.dumps(meta).encode()).hexdigest()}")
+    for name, a in _named_arrays(state):
+        h = hashlib.sha256(f"{a.dtype.str} {a.shape}\n".encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+        print(f"{run}\t{name} {h.hexdigest()}")
+
+
 def _checkpoint_digests(root: Path) -> None:
     from kgvec.model import VARIANTS
-    from kgvec.trainer import load_checkpoint
 
     corpus, tsv = _write_world(root)
     for variant in VARIANTS:
@@ -129,23 +155,35 @@ def _checkpoint_digests(root: Path) -> None:
                 "--seed", "11", "--float32", float32,
             ])
             run = f"{variant}\t{'float32' if float32 == 'true' else 'float64'}"
-            state = load_checkpoint(ckpt)
-            vocab = state.vocab
-            meta = [
-                dataclasses.asdict(state.model_config),
-                dataclasses.asdict(state.train_config),
-                vocab.tokens,
-                vocab.counts.tolist(),
-                vocab.min_count,
-                sorted(vocab.phrase_lexicon),
-                state.relation_names,
-            ]
-            print(f"{run}\tfinal_loss {report.final_combined!r}")
-            print(f"{run}\tstate {hashlib.sha256(json.dumps(meta).encode()).hexdigest()}")
-            for name, a in _named_arrays(state):
-                h = hashlib.sha256(f"{a.dtype.str} {a.shape}\n".encode())
-                h.update(np.ascontiguousarray(a).tobytes())
-                print(f"{run}\t{name} {h.hexdigest()}")
+            _print_run(run, report, ckpt)
+
+
+def _config_digests(root: Path) -> None:
+    import kgvec.cli
+
+    corpus, tsv = _write_world(root)
+    lexicon = root / "lexicon.txt"
+    lexicon.write_text(" ".join(corpus.read_text(encoding="utf-8").split()[:2]) + "\n",
+                       encoding="utf-8")
+    vocab = root / "config-vocab.tsv"
+    argv = ["build-vocab", "--corpus", str(corpus), "--lexicon", str(lexicon),
+            "--min-count", "2", "--output", str(vocab)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        if kgvec.cli.main(argv) != 0:
+            raise SystemExit(f"kgvec {' '.join(argv)} failed")
+    config = root / "run.cfg"
+    config.write_text(
+        f"corpus={corpus}\ntriples={tsv}\nvocab={vocab}\nlexicon={lexicon}\n"
+        "min-count=3\nvariant=lowrank\ndim=16\nhead-rank=4\ntail-rank=12\n"
+        "negatives=3\nmargin=0.5\nalpha=0.4\nlr=0.02\nepochs=2\nwindow=2\n"
+        "seed=7\nsubsample=0.001\nfloat32=no\n",
+        encoding="utf-8",
+    )
+    for label, flags in (("every flag", []), ("--dim 12 over the file", ["--dim", "12"])):
+        ckpt = root / "config.kgv"
+        report = _train_cli(["train", "--config", str(config), *flags,
+                             "--checkpoint", str(ckpt)])
+        _print_run(f"config\t{label}", report, ckpt)
 
 
 def _analogy_digests(root: Path) -> None:
@@ -233,6 +271,7 @@ def digest() -> None:
     sys.path[:0] = [str(ROOT / "tests"), str(ROOT / "perfbench")]
     with tempfile.TemporaryDirectory() as tmp:
         _checkpoint_digests(Path(tmp))
+        _config_digests(Path(tmp))
         _analogy_digests(Path(tmp))
         _stats_digests(Path(tmp))
 
