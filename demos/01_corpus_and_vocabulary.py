@@ -5,6 +5,7 @@ negative sampling, and (center, context) pair streaming."""
 import numpy as np
 
 from kgvec import (
+    PhraseIndex,
     build_negative_table,
     build_vocabulary,
     merge_phrases,
@@ -26,8 +27,9 @@ print("\nbase tokens (lowercased, edge punctuation stripped, digits kept for now
 print(" ", tokens)
 
 # Multi-word entity names become single tokens joined with "_".  Matching is
-# greedy longest-first, so "john f kennedy" beats "john f".
-lexicon = [("john", "f", "kennedy"), ("john", "f"), ("new", "york")]
+# greedy longest-first, so "john f kennedy" beats "john f".  The lexicon is
+# indexed by first word once and reused for every line.
+lexicon = PhraseIndex([("john", "f", "kennedy"), ("john", "f"), ("new", "york")])
 merged = merge_phrases(tokens, lexicon)
 print("\nafter phrase merging:")
 print(" ", merged)

@@ -8,6 +8,7 @@ translation residual.  See README.md for the full tour.
 """
 
 from .corpus import (
+    PhraseIndex,
     Vocabulary,
     build_negative_table,
     build_vocabulary,
@@ -66,6 +67,7 @@ __all__ = [
     "MappingStats",
     "ModelConfig",
     "ModelState",
+    "PhraseIndex",
     "SimilarityPair",
     "TrainConfig",
     "TrainReport",

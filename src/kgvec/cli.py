@@ -15,6 +15,7 @@ import numpy as np
 
 from . import evaluation
 from .corpus import (
+    PHRASE_SEP,
     PhraseIndex,
     Vocabulary,
     build_vocabulary,
@@ -59,7 +60,11 @@ def main(argv: list[str] | None = None) -> int:
             # The file's flags go before the command line's, so the command
             # line wins and argparse's defaults fill in the rest.
             config = _config_flags(args.config, args.config_keys)
-            args = parser.parse_args([argv[0], *config, *argv[1:]])
+            try:
+                args = parser.parse_args([argv[0], *config, *argv[1:]])
+            except _UsageError as exc:
+                # The command line alone parsed, so the file is at fault.
+                raise _UsageError(f"{args.config}: {exc}") from None
         # A diverging run overflows before the finite checks see it; the
         # NumericError they raise is the one report of that.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -281,15 +286,16 @@ def _load_inputs(args, train_config):
     if need_kg and args.triples is None:
         raise ConfigError("--triples is required when alpha > 0")
 
-    lexicon = load_phrase_lexicon(args.lexicon) if args.lexicon else []
+    index = load_phrase_lexicon(args.lexicon) if args.lexicon else PhraseIndex()
     if not (args.vocab or args.corpus):
         raise ConfigError("need --vocab or --corpus to define the vocabulary")
-    vocab = Vocabulary.load(args.vocab) if args.vocab else None
-    if vocab is not None and not lexicon:
-        lexicon = [tuple(t.split("_")) for t in sorted(vocab.phrase_lexicon)]
-    index = PhraseIndex(lexicon)
-    if vocab is None:
+    if not args.vocab:
         vocab = build_vocabulary(_corpus_lines(args.corpus), args.min_count, index)
+    else:
+        vocab = Vocabulary.load(args.vocab)
+        if not args.lexicon:
+            # The vocabulary's phrase tokens stand in for the lexicon.
+            index = PhraseIndex(t.split(PHRASE_SEP) for t in vocab.tokens if PHRASE_SEP in t)
 
     tokens: list[str] = []
     if args.corpus:
@@ -313,8 +319,8 @@ def _write_text(path: str, text: str) -> None:
 
 
 def cmd_build_vocab(args) -> int:
-    lexicon = load_phrase_lexicon(args.lexicon) if args.lexicon else []
-    vocab = build_vocabulary(_corpus_lines(args.corpus), args.min_count, lexicon)
+    index = load_phrase_lexicon(args.lexicon) if args.lexicon else PhraseIndex()
+    vocab = build_vocabulary(_corpus_lines(args.corpus), args.min_count, index)
     vocab.save(args.output)
     print(f"wrote {len(vocab)} tokens to {args.output}")
     return EXIT_OK

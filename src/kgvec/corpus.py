@@ -89,20 +89,19 @@ class PhraseIndex:
     """A phrase lexicon indexed by first word, longest entries first.
 
     Build it once per lexicon and pass it to :func:`merge_phrases` for
-    every line.  ``len()`` is the number of entries.
+    every line.  Repeated entries are kept once, first occurrence first.
+    ``len()`` is the number of entries.
     """
 
-    def __init__(self, entries: Iterable[Sequence[str]]):
-        self.entries: list[tuple[str, ...]] = []
+    def __init__(self, entries: Iterable[Sequence[str]] = ()):
+        self.entries = list(dict.fromkeys(map(tuple, entries)))
         self.by_first: dict[str, list[tuple[str, ...]]] = {}
-        for entry in entries:
-            words = tuple(entry)
+        for words in self.entries:
             if not 1 <= len(words) <= MAX_PHRASE_WORDS:
                 raise ValueError(
                     f"phrase lexicon entry must have 1..{MAX_PHRASE_WORDS} words, "
                     f"got {len(words)}: {words!r}"
                 )
-            self.entries.append(words)
             self.by_first.setdefault(words[0], []).append(words)
         for candidates in self.by_first.values():
             candidates.sort(key=len, reverse=True)
@@ -111,23 +110,16 @@ class PhraseIndex:
         return len(self.entries)
 
 
-def _phrase_index(lexicon: PhraseIndex | Iterable[Sequence[str]]) -> PhraseIndex:
-    return lexicon if isinstance(lexicon, PhraseIndex) else PhraseIndex(lexicon)
-
-
-def merge_phrases(
-    tokens: Sequence[str], phrase_lexicon: PhraseIndex | Iterable[Sequence[str]]
-) -> list[str]:
+def merge_phrases(tokens: Sequence[str], phrase_lexicon: PhraseIndex) -> list[str]:
     """Replace lexicon phrases in a token sequence with single merged tokens.
 
     Matching is greedy longest-match, left to right: at each position the
     longest lexicon entry starting there wins and the scan resumes after it.
     Tokens not covered by any entry pass through unchanged.  Merging an
     already-merged sequence is a no-op because merged tokens contain
-    ``PHRASE_SEP``, which no base token can.  A plain list of entries is
-    indexed on every call; pass a :class:`PhraseIndex` to merge many lines.
+    ``PHRASE_SEP``, which no base token can.
     """
-    by_first = _phrase_index(phrase_lexicon).by_first
+    by_first = phrase_lexicon.by_first
     if not by_first:
         return list(tokens)
 
@@ -153,51 +145,51 @@ def merge_phrases(
     return out
 
 
-def load_phrase_lexicon(path: str | Path) -> list[tuple[str, ...]]:
+def load_phrase_lexicon(path: str | Path) -> PhraseIndex:
     """Read a phrase lexicon file: one entity name per line, words separated
     by spaces.  Names are normalized with the base tokenizer.  Duplicate
     entries are dropped, first occurrence wins."""
     entries: list[tuple[str, ...]] = []
-    seen: set[tuple[str, ...]] = set()
     for lineno, line in read_lines(path):
         words = tuple(tokenize(line))
-        if not words:
-            continue
         if len(words) > MAX_PHRASE_WORDS:
             raise ParseError(
                 f"{path}: line {lineno}: entity name longer than "
                 f"{MAX_PHRASE_WORDS} words"
             )
-        if words not in seen:
-            seen.add(words)
+        if words:
             entries.append(words)
-    return entries
+    return PhraseIndex(entries)
 
 
 @dataclass
 class Vocabulary:
-    """Token inventory with frequencies and token<->index maps.
+    """Token inventory with frequencies and a token -> index map.
 
     ``counts[i]`` is the post-merge corpus frequency of ``tokens[i]``, never
-    negative.
-    Lexicon entries are always present; ones that are absent from the corpus
-    (or fall under ``min_count``) carry count 0 so they still get embedding
-    rows but are never drawn as negative samples.
+    negative; a count of 0 keeps the token's embedding row but never draws
+    it as a negative sample.  Tokens are distinct, non-empty and free of
+    whitespace, so each is one word of the embedding export.
     """
 
     tokens: list[str]
     counts: np.ndarray
-    min_count: int = 1
-    phrase_lexicon: frozenset[str] = frozenset()
     index: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        self.tokens = list(self.tokens)
         self.counts = np.asarray(self.counts, dtype=np.int64)
         if len(self.tokens) != len(self.counts):
             raise ValueError("tokens and counts length mismatch")
         self.index = {tok: i for i, tok in enumerate(self.tokens)}
         if len(self.index) != len(self.tokens):
             raise ValueError("duplicate tokens in vocabulary")
+        # One pass over all tokens at once: a string splits to itself
+        # exactly when it is free of whitespace.
+        joined = "".join(self.tokens)
+        if "" in self.index or (joined and joined.split() != [joined]):
+            bad = next(t for t in self.tokens if t.split() != [t])
+            raise ValueError(f"vocabulary token {bad!r} is empty or holds whitespace")
         if (self.counts < 0).any():
             raise ValueError("negative token count in vocabulary")
 
@@ -250,6 +242,10 @@ class Vocabulary:
                 )
             if token in counts:
                 raise ParseError(f"{path}: line {lineno}: duplicate token {token!r}")
+            if token.split() != [token]:
+                raise ParseError(
+                    f"{path}: line {lineno}: token {token!r} is empty or holds whitespace"
+                )
             if token.count(PHRASE_SEP) >= MAX_PHRASE_WORDS:
                 raise ParseError(
                     f"{path}: line {lineno}: token longer than "
@@ -260,22 +256,22 @@ class Vocabulary:
             raise ParseError(
                 f"{path}: header claims {size} tokens, file has {len(counts)}"
             )
-        lexicon = frozenset(t for t in counts if PHRASE_SEP in t)
-        return cls(list(counts), list(counts.values()), 1, lexicon)
+        return cls(list(counts), list(counts.values()))
 
 
 def build_vocabulary(
     text: Iterable[str] | str,
     min_count: int = 5,
-    phrase_lexicon: PhraseIndex | Iterable[Sequence[str]] = (),
+    phrase_lexicon: PhraseIndex = PhraseIndex(),
 ) -> Vocabulary:
     """Count phrase-merged tokens and build the Vocabulary.
 
     ``text`` is a string or an iterable of lines (an open text file works).
-    Digit-only tokens are removed.  Corpus tokens below ``min_count`` are
-    dropped.  Every lexicon entry is retained; if its corpus frequency is
-    below ``min_count`` (or it is digit-only) it is recorded with count 0,
-    the same as a lexicon entry never seen in the corpus.
+    Lines are merged by ``phrase_lexicon`` (none by default).  Digit-only
+    tokens are removed.  Corpus tokens below ``min_count`` are dropped.
+    Every lexicon entry is retained; if its corpus frequency is below
+    ``min_count`` (or it is digit-only) it is recorded with count 0, the
+    same as a lexicon entry never seen in the corpus.
 
     Tokens are ordered by descending count, ties broken alphabetically, so
     a rebuilt vocabulary is reproducible.
@@ -283,17 +279,16 @@ def build_vocabulary(
     if min_count < 1:
         raise ValueError("min_count must be >= 1")
     lines = text.splitlines() if isinstance(text, str) else text
-    index = _phrase_index(phrase_lexicon)
     counter: Counter[str] = Counter()
     total = 0
     for line in lines:
-        toks = merge_phrases(tokenize(line), index)
+        toks = merge_phrases(tokenize(line), phrase_lexicon)
         counter.update(toks)
         total += len(toks)
     if total == 0:
         raise EmptyCorpusError("corpus produced no tokens")
 
-    lexicon_tokens = {PHRASE_SEP.join(words) for words in index.entries}
+    lexicon_tokens = {PHRASE_SEP.join(words) for words in phrase_lexicon.entries}
     kept: dict[str, int] = {}
     for tok, cnt in counter.items():
         if tok in lexicon_tokens:
@@ -308,7 +303,7 @@ def build_vocabulary(
 
     order = sorted(kept, key=lambda t: (-kept[t], t))
     counts = np.asarray([kept[t] for t in order], dtype=np.int64)
-    return Vocabulary(order, counts, min_count, frozenset(lexicon_tokens))
+    return Vocabulary(order, counts)
 
 
 def build_negative_table(vocab: Vocabulary) -> np.ndarray:

@@ -48,7 +48,7 @@ LR_FLOOR = 1e-4
 BLOCK = 256
 
 CHECKPOINT_MAGIC = b"KGVECBIN"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 @dataclass
@@ -442,12 +442,7 @@ def save_checkpoint(state: ModelState, path: str | Path) -> None:
     header = {
         "model": asdict(state.model_config),
         "train": asdict(state.train_config),
-        "vocab": {
-            "tokens": state.vocab.tokens,
-            "counts": state.vocab.counts.tolist(),
-            "min_count": state.vocab.min_count,
-            "lexicon": sorted(state.vocab.phrase_lexicon),
-        },
+        "vocab": {"tokens": state.vocab.tokens, "counts": state.vocab.counts.tolist()},
         "relations": state.relation_names,
     }
     blob = json.dumps(header).encode("utf-8")
@@ -538,26 +533,14 @@ def load_checkpoint(path: str | Path) -> ModelState:
         _checked_section(path, "header", header, ("model", "train", "vocab", "relations"))
         model_config = _checked_config(path, "model", ModelConfig, header["model"])
         train_config = _checked_config(path, "train", TrainConfig, header["train"])
-        v = _checked_section(
-            path, "vocab", header["vocab"], ("tokens", "counts", "min_count", "lexicon")
-        )
-        if not (
-            _is_list_of(v["tokens"], str)
-            and _is_list_of(v["lexicon"], str)
-            and _is_list_of(v["counts"], int)
-            and type(v["min_count"]) is int
-        ):
+        v = _checked_section(path, "vocab", header["vocab"], ("tokens", "counts"))
+        if not (_is_list_of(v["tokens"], str) and _is_list_of(v["counts"], int)):
             raise CheckpointError(
-                f"{path}: checkpoint vocab needs lists of strings as tokens and "
-                "lexicon, of integers as counts, and an integer min_count"
+                f"{path}: checkpoint vocab needs a list of strings as tokens "
+                "and a list of integers as counts"
             )
         try:
-            vocab = Vocabulary(
-                v["tokens"],
-                np.asarray(v["counts"], dtype=np.int64),
-                v["min_count"],
-                frozenset(v["lexicon"]),
-            )
+            vocab = Vocabulary(v["tokens"], np.asarray(v["counts"], dtype=np.int64))
         except (OverflowError, ValueError) as exc:
             raise CheckpointError(f"{path}: checkpoint vocab rejected: {exc}") from exc
         relation_names = header["relations"]

@@ -1,7 +1,8 @@
 """Reference implementations the tests compare the library against.
 
-Each is the plain, slow form of something kgvec does in vectorised or
-binary form: the generator of skip-gram pairs behind
+Each is the plain, slow form of something kgvec does in vectorised,
+indexed or binary form: the longest-match scan behind
+``kgvec.corpus.merge_phrases``, the generator of skip-gram pairs behind
 ``kgvec.corpus.context_pair_arrays``, a reader for the word2vec text
 files ``kgvec.model.save_embeddings_text`` writes, the per-step form of the
 trainer's learning-rate schedule, the identity map in factor form, the
@@ -24,6 +25,18 @@ import numpy as np
 from kgvec.corpus import Vocabulary, _subsample_ids
 from kgvec.projection import LowRankProjection
 from kgvec.trainer import LR_FLOOR
+
+
+def longest_match_merge(tokens: Sequence[str], lexicon: Sequence[tuple[str, ...]]) -> list[str]:
+    """Greedy longest-match phrase merging, trying every lexicon entry at
+    every position."""
+    out, i = [], 0
+    while i < len(tokens):
+        hits = [e for e in lexicon if tuple(tokens[i : i + len(e)]) == e]
+        longest = max(hits, key=len, default=(tokens[i],))
+        out.append("_".join(longest))
+        i += len(longest)
+    return out
 
 
 @dataclass(frozen=True)

@@ -303,6 +303,16 @@ class TestTrain:
         assert rc == 1
         assert "subsample" in capsys.readouterr().err
 
+    def test_bad_config_value_names_the_file(self, tmp_path, corpus_file, capsys):
+        cfg = write(tmp_path / "bad.cfg", "dim=abc\n")
+        common = ["--corpus", corpus_file, "--alpha", "0",
+                  "--checkpoint", str(tmp_path / "m.kgv")]
+        message = "kgvec train: argument --dim: invalid int value: 'abc'"
+        assert main(["train", "--config", cfg, *common]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
+        assert main(["train", "--dim", "abc", *common]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_config_line_without_equals_is_usage_error(self, tmp_path, corpus_file,
                                                         triples_file, capsys):
         cfg = write(tmp_path / "run.cfg", "dim=8\n# comment\nepochs 3\n")
@@ -527,11 +537,11 @@ class TestCheckpointHeaders:
             pytest.param(lambda h: h["train"].update(epochs="2"), id="str-epochs"),
             pytest.param(lambda h: h["train"].update(window=True), id="bool-window"),
             pytest.param(lambda h: h["vocab"].update(tokens=[1, 2, 3, 4, 5]), id="int-tokens"),
-            pytest.param(lambda h: h["vocab"].update(lexicon="x1_y1"), id="str-lexicon"),
             pytest.param(lambda h: h["vocab"].update(counts=[1.5] * 5), id="float-counts"),
             pytest.param(lambda h: h["vocab"].update(counts=[2**70] * 5), id="int64-overflow-counts"),
             pytest.param(lambda h: h["vocab"]["counts"].__setitem__(0, -4), id="negative-count"),
-            pytest.param(lambda h: h["vocab"].update(min_count="1"), id="str-min-count"),
+            pytest.param(lambda h: h["vocab"]["tokens"].__setitem__(0, ""), id="empty-token"),
+            pytest.param(lambda h: h["vocab"]["tokens"].__setitem__(0, "x 1"), id="spaced-token"),
             pytest.param(lambda h: h.update(relations=[7]), id="int-relations"),
             pytest.param(lambda h: h.update(relations="maps"), id="str-relations"),
             pytest.param(lambda h: h.update(model=[1]), id="list-model"),
@@ -694,16 +704,17 @@ class TestCheckpointHeaders:
         save_checkpoint(state, ck)
         assert (load_checkpoint(ck).store.output_vectors == 1e300).all()
 
-    def test_version_1_file_is_data_error(self, tmp_path, checkpoint, capsys):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_retired_version_is_data_error(self, tmp_path, checkpoint, capsys, version):
         data = bytearray(checkpoint.read_bytes())
-        struct.pack_into("<I", data, len(CHECKPOINT_MAGIC), 1)
+        struct.pack_into("<I", data, len(CHECKPOINT_MAGIC), version)
         checkpoint.write_bytes(bytes(data))
-        with pytest.raises(CheckpointError, match="unsupported checkpoint version 1;"):
+        with pytest.raises(CheckpointError, match=f"unsupported checkpoint version {version};"):
             load_checkpoint(checkpoint)
         rc = main(["export", "--checkpoint", str(checkpoint),
                    "--output", str(tmp_path / "v.txt")])
         assert rc == 2
-        assert "version 1" in capsys.readouterr().err
+        assert f"unsupported checkpoint version {version}" in capsys.readouterr().err
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -1089,6 +1100,20 @@ class TestMalformedFiles:
                                "--checkpoint", str(tmp_path / "m.kgv")])
         assert rc == 2
         assert "need at least 2 entities to corrupt" in err
+
+    @pytest.mark.parametrize("token", ["", "new york"], ids=["empty", "spaced"])
+    def test_vocabulary_token_the_export_cannot_hold_exits_2(self, tmp_path, corpus_file,
+                                                             token):
+        """An empty token or one with whitespace would be a line of the
+        word2vec export that no reader parses."""
+        vocab = write(tmp_path / "vocab.tsv", f"#vocab 2\nking\t3\n{token}\t2\n")
+        export = tmp_path / "w.txt"
+        rc, err = run_quietly(["train", "--corpus", corpus_file, "--vocab", vocab,
+                               "--alpha", "0", "--dim", "3", "--export", str(export),
+                               "--checkpoint", str(tmp_path / "m.kgv")])
+        assert rc == 2
+        assert f"{vocab}: line 3: token {token!r} is empty or holds whitespace" in err
+        assert not export.exists()
 
     def test_vocabulary_token_beyond_the_phrase_limit_exits_2(self, tmp_path, corpus_file):
         vocab = write(tmp_path / "vocab.tsv", "#vocab 2\nking\t3\na_b_c_d_e_f_g_h_i\t2\n")

@@ -1,4 +1,5 @@
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from kgvec.corpus import (
     tokenize,
 )
 from kgvec.errors import DegenerateDistributionError, EmptyCorpusError, ParseError
-from oracles import ContextPair, stream_context_pairs
+from oracles import ContextPair, longest_match_merge, stream_context_pairs
 
 
 class TestTokenize:
@@ -44,7 +45,7 @@ class TestTokenize:
 
 class TestMergePhrases:
     def test_longest_match_wins(self):
-        lex = [("john", "f", "kennedy"), ("john", "f")]
+        lex = PhraseIndex([("john", "f", "kennedy"), ("john", "f")])
         assert merge_phrases(["john", "f", "kennedy", "died"], lex) == [
             "john_f_kennedy",
             "died",
@@ -52,13 +53,14 @@ class TestMergePhrases:
 
     def test_empty_lexicon_is_identity(self):
         toks = ["a", "b", "c"]
-        assert merge_phrases(toks, []) == toks
+        assert merge_phrases(toks, PhraseIndex()) == toks
 
     def test_repeated_phrase(self):
-        assert merge_phrases(["a", "b", "a", "b"], [("a", "b")]) == ["a_b", "a_b"]
+        lex = PhraseIndex([("a", "b")])
+        assert merge_phrases(["a", "b", "a", "b"], lex) == ["a_b", "a_b"]
 
     def test_shorter_entry_used_when_longer_fails(self):
-        lex = [("john", "f", "kennedy"), ("john", "f")]
+        lex = PhraseIndex([("john", "f", "kennedy"), ("john", "f")])
         assert merge_phrases(["john", "f", "x"], lex) == ["john_f", "x"]
 
     # Some words are others run together, so a merge that lost its
@@ -72,31 +74,29 @@ class TestMergePhrases:
     )
     @example(toks=["a", "b", "c"], lex=[("a", "b"), ("ab", "c")])
     def test_idempotent_on_random_sequences(self, toks, lex):
-        """Merging a merged sequence again changes nothing, with the lexicon
-        as a list and as a PhraseIndex."""
-        once = merge_phrases(toks, lex)
-        assert merge_phrases(once, lex) == once
+        """Merging a merged sequence again changes nothing, and the indexed
+        merge is the brute-force longest match."""
         index = PhraseIndex(lex)
-        assert merge_phrases(toks, index) == once
+        once = merge_phrases(toks, index)
+        assert once == longest_match_merge(toks, lex)
         assert merge_phrases(once, index) == once
         assert len(once) <= len(toks)
 
     def test_entry_too_long_rejected(self):
         with pytest.raises(ValueError):
-            merge_phrases(["a"], [tuple("abcdefghi")])
+            PhraseIndex([tuple("abcdefghi")])
 
     @pytest.mark.parametrize("entry", [(), tuple("abcdefghi")], ids=["0-words", "9-words"])
     def test_index_rejects_entry_length(self, entry):
         with pytest.raises(ValueError, match="1..8 words"):
             PhraseIndex([("a", "b"), entry])
-        with pytest.raises(ValueError, match="1..8 words"):
-            merge_phrases(["a"], [entry])
 
     def test_index_length_counts_entries(self):
-        assert len(PhraseIndex([])) == 0
+        assert len(PhraseIndex()) == 0
         assert len(PhraseIndex([("a", "b"), ("a",), ("c", "d", "e")])) == 3
+        assert len(PhraseIndex([("a", "b"), ["a", "b"], ("a",)])) == 2
 
-    def test_prebuilt_index_matches_plain_list_and_brute_force(self):
+    def test_index_matches_brute_force_longest_match(self):
         # Overlapping ("a b" / "b c") and nested ("a" / "a b" / "a b c")
         # entries, one index reused across every stream.
         rng = np.random.default_rng(11)
@@ -104,21 +104,9 @@ class TestMergePhrases:
         lex = [("a", "b"), ("b", "c"), ("a",), ("a", "b", "c"), ("c", "d", "e", "a"),
                ("e", "e"), ("d",)]
         index = PhraseIndex(lex)
-
-        def brute(toks):
-            out, i = [], 0
-            while i < len(toks):
-                hits = [e for e in lex if tuple(toks[i : i + len(e)]) == e]
-                longest = max(hits, key=len, default=(toks[i],))
-                out.append("_".join(longest))
-                i += len(longest)
-            return out
-
         for _ in range(200):
             toks = [words[i] for i in rng.integers(0, len(words), size=int(rng.integers(0, 25)))]
-            want = brute(toks)
-            assert merge_phrases(toks, index) == want
-            assert merge_phrases(toks, lex) == want
+            assert merge_phrases(toks, index) == longest_match_merge(toks, lex)
 
 
 class TestBuildVocabulary:
@@ -129,7 +117,7 @@ class TestBuildVocabulary:
 
     def test_phrase_merge_then_count(self):
         vocab = build_vocabulary(
-            "new york is big", min_count=1, phrase_lexicon=[("new", "york")]
+            "new york is big", min_count=1, phrase_lexicon=PhraseIndex([("new", "york")])
         )
         assert dict(zip(vocab.tokens, vocab.counts.tolist())) == {
             "new_york": 1,
@@ -143,7 +131,9 @@ class TestBuildVocabulary:
 
     def test_lexicon_entry_absent_from_corpus_gets_count_zero(self):
         vocab = build_vocabulary(
-            "plain words here", min_count=1, phrase_lexicon=[("missing", "entity")]
+            "plain words here",
+            min_count=1,
+            phrase_lexicon=PhraseIndex([("missing", "entity")]),
         )
         assert "missing_entity" in vocab
         assert vocab.counts[vocab.index["missing_entity"]] == 0
@@ -152,7 +142,7 @@ class TestBuildVocabulary:
         vocab = build_vocabulary(
             "rare name rare name common common common",
             min_count=3,
-            phrase_lexicon=[("rare", "name")],
+            phrase_lexicon=PhraseIndex([("rare", "name")]),
         )
         assert vocab.counts[vocab.index["rare_name"]] == 0
         assert vocab.counts[vocab.index["common"]] == 3
@@ -175,15 +165,18 @@ class TestBuildVocabulary:
         vocab = build_vocabulary(iter(["a a\n", "a b\n"]), min_count=1)
         assert vocab.counts[vocab.index["a"]] == 3
 
-
     def test_prebuilt_index_gives_the_same_vocabulary(self):
+        """The vocabulary counts what the brute-force longest match merges;
+        every lexicon entry is kept, below ``min_count`` at count 0."""
         text = "new york is new and old york is old new york\n" * 3
-        lex = [("new", "york"), ("old",), ("old", "york")]
-        plain = build_vocabulary(text, min_count=2, phrase_lexicon=lex)
-        indexed = build_vocabulary(text, min_count=2, phrase_lexicon=PhraseIndex(lex))
-        assert indexed.tokens == plain.tokens
-        assert indexed.counts.tolist() == plain.counts.tolist()
-        assert indexed.phrase_lexicon == plain.phrase_lexicon
+        lex = [("new", "york"), ("old",), ("old", "york"), ("is", "new")]
+        vocab = build_vocabulary(text, min_count=4, phrase_lexicon=PhraseIndex(lex))
+        merged = Counter(t for line in text.splitlines()
+                         for t in longest_match_merge(tokenize(line), lex))
+        want = {t: c for t, c in merged.items() if c >= 4}
+        want.update({t: 0 for t in ("_".join(e) for e in lex) if merged[t] < 4})
+        assert dict(zip(vocab.tokens, vocab.counts.tolist())) == want
+        assert want["is_new"] == 0 and want["new_york"] == 6
 
 
 class TestVocabularyFile:
@@ -191,7 +184,7 @@ class TestVocabularyFile:
         vocab = build_vocabulary(
             "the cat sat on the mat the cat",
             min_count=1,
-            phrase_lexicon=[("red", "cat")],
+            phrase_lexicon=PhraseIndex([("red", "cat")]),
         )
         path = tmp_path / "vocab.tsv"
         vocab.save(path)
@@ -239,8 +232,11 @@ class TestVocabularyFile:
             ("foo\t3\nfoo\t2\n", "line 3: duplicate token 'foo'"),
             ("foo\t3\nbar\t99999999999999999999999\n", "line 3: bad count"),
             ("foo\t3\nbar\t-4\n", "line 3: bad count '-4'"),
+            ("foo\t3\n\t2\n", "line 3: token '' is empty or holds whitespace"),
+            ("foo\t3\nnew york\t3\n", "line 3: token 'new york' is empty or holds whitespace"),
         ],
-        ids=["duplicate-token", "count-beyond-int64", "negative-count"],
+        ids=["duplicate-token", "count-beyond-int64", "negative-count", "empty-token",
+             "spaced-token"],
     )
     def test_bad_entry_names_its_line(self, tmp_path, body, message):
         path = tmp_path / "vocab.tsv"
@@ -255,12 +251,17 @@ class TestVocabularyFile:
         with pytest.raises(ParseError, match=re.escape(f"{path}: line 3: token longer")):
             Vocabulary.load(path)
         path.write_text(f"#vocab 1\n{longest}\t3\n")
-        assert Vocabulary.load(path).phrase_lexicon == {longest}
+        assert Vocabulary.load(path).tokens == [longest]
 
     @pytest.mark.parametrize(
         "tokens, counts, message",
-        [(["a", "b"], [1], "length mismatch"), (["a", "a"], [1, 1], "duplicate tokens")],
-        ids=["length-mismatch", "duplicate-token"],
+        [
+            (["a", "b"], [1], "length mismatch"),
+            (["a", "a"], [1, 1], "duplicate tokens"),
+            (["a", ""], [1, 1], "token '' is empty or holds whitespace"),
+            (["a", "b c"], [1, 1], "token 'b c' is empty or holds whitespace"),
+        ],
+        ids=["length-mismatch", "duplicate-token", "empty-token", "spaced-token"],
     )
     def test_inconsistent_tokens_rejected(self, tokens, counts, message):
         with pytest.raises(ValueError, match=message):
@@ -275,7 +276,7 @@ class TestPhraseLexiconFile:
     def test_load_and_normalize(self, tmp_path):
         path = tmp_path / "lex.txt"
         path.write_text("New York\nJohn F Kennedy\nNew York\n")
-        assert load_phrase_lexicon(path) == [
+        assert load_phrase_lexicon(path).entries == [
             ("new", "york"),
             ("john", "f", "kennedy"),
         ]

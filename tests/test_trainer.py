@@ -350,9 +350,10 @@ class TestCheckpoint:
         data = path.read_bytes()
         start = len(CHECKPOINT_MAGIC) + 8
         version, size = struct.unpack_from("<II", data, len(CHECKPOINT_MAGIC))
-        assert version == 2
+        assert version == 3
         header = json.loads(data[start : start + size])
         assert sorted(header) == ["model", "relations", "train", "vocab"]
+        assert header["vocab"] == {"tokens": vocab.tokens, "counts": vocab.counts.tolist()}
         store, views = state.store, [p.arrays() for p in state.params]
         want = [store.input_vectors, store.output_vectors, store.relation_vectors]
         assert all(a.dtype == np.float32 for a in want)

@@ -10,9 +10,9 @@ the first line that differs (exit status 1).  The digests are:
   (``relation_world`` from ``tests/synthdata.py``: three relations, text and
   knowledge) for all six variants in float64 and float32 at a fixed seed.
   For each run it prints the final combined loss (``repr``, so every bit
-  shows), the SHA-256 of the loaded configs, vocabulary and relation names,
-  and one SHA-256 per array of the loaded checkpoint under its checkpoint
-  name: ``input``, ``output``, ``relations`` and ``rel.<name>`` for the
+  shows), the SHA-256 of the loaded configs, vocabulary tokens and counts
+  and relation names, and one SHA-256 per array of the loaded checkpoint
+  under its checkpoint name: ``input``, ``output``, ``relations`` and ``rel.<name>`` for the
   ``(R, *shape)`` stack of each relation array.  No digest reads the file's
   bytes, so trees whose checkpoint formats differ still compare.
 * **Config files.**  The same digests for a ``lowrank`` run whose
@@ -120,14 +120,11 @@ def _print_run(run: str, report, ckpt: Path) -> None:
     from kgvec.trainer import load_checkpoint
 
     state = load_checkpoint(ckpt)
-    vocab = state.vocab
     meta = [
         dataclasses.asdict(state.model_config),
         dataclasses.asdict(state.train_config),
-        vocab.tokens,
-        vocab.counts.tolist(),
-        vocab.min_count,
-        sorted(vocab.phrase_lexicon),
+        state.vocab.tokens,
+        state.vocab.counts.tolist(),
         state.relation_names,
     ]
     print(f"{run}\tfinal_loss {report.final_combined!r}")
