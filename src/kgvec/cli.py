@@ -8,6 +8,7 @@ UTF-8, or an unreadable file), 3 numeric failure (``NumericError``).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -52,6 +53,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; return its exit code. May be called repeatedly: the
+    parser is built once and ``cmd_<command>`` is found at call time, so a
+    wrapper installed on ``kgvec.cli.cmd_*`` after the first call takes effect."""
     argv = sys.argv[1:] if argv is None else argv
     parser = _build_parser()
     try:
@@ -68,7 +72,7 @@ def main(argv: list[str] | None = None) -> int:
         # A diverging run overflows before the finite checks see it; the
         # NumericError they raise is the one report of that.
         with np.errstate(over="ignore", invalid="ignore"):
-            return args.func(args)
+            return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
@@ -80,6 +84,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="kgvec", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -91,20 +96,17 @@ def _build_parser() -> _Parser:
         "--min-count", type=int, default=5, help="frequency threshold (default: 5)"
     )
     p.add_argument("--output", required=True, help="vocabulary file to write")
-    p.set_defaults(func=cmd_build_vocab)
 
     p = sub.add_parser("stats", help="per-relation mapping-cardinality statistics")
     p.add_argument("--triples", required=True, help="head<TAB>relation<TAB>tail TSV")
     p.add_argument("--vocab", help="optional vocabulary file used as entity filter")
     p.add_argument("--output", default="-", help="output TSV (default: stdout)")
-    p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("train", help="jointly train text and knowledge objectives")
     _add_train_flags(p)
     p.add_argument("--checkpoint", required=True, help="binary checkpoint to write")
     p.add_argument("--export", help="also write embeddings in word2vec text format")
     p.add_argument("--report", default="-", help="per-epoch TSV report (default: stdout)")
-    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval-analogy", help="analogical reasoning accuracy")
     p.add_argument("--checkpoint", required=True)
@@ -118,14 +120,12 @@ def _build_parser() -> _Parser:
         "has no relation projections)",
     )
     p.add_argument("--output", default="-")
-    p.set_defaults(func=cmd_eval_analogy)
 
     p = sub.add_parser("eval-similarity", help="Spearman rho on a similarity file")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--pairs", required=True, help="word1<TAB>word2<TAB>score file")
     p.add_argument("--dataset", default="similarity", help="label for the report row")
     p.add_argument("--output", default="-")
-    p.set_defaults(func=cmd_eval_similarity)
 
     p = sub.add_parser("rank-sweep", help="accuracy grid over projection ranks")
     _add_train_flags(p)
@@ -141,12 +141,10 @@ def _build_parser() -> _Parser:
         help=f"comma list of tail ranks (default: {DEFAULT_RANK_GRID})",
     )
     p.add_argument("--output", default="-")
-    p.set_defaults(func=cmd_rank_sweep)
 
     p = sub.add_parser("export", help="write checkpoint embeddings as text")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--output", required=True)
-    p.set_defaults(func=cmd_export)
     return parser
 
 

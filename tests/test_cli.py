@@ -1,14 +1,20 @@
 import contextlib
 import io
 import json
+import os
 import re
+import runpy
 import struct
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import kgvec.cli
 import kgvec.evaluation
 from kgvec.cli import main
 from kgvec.corpus import Vocabulary, build_vocabulary, load_phrase_lexicon
@@ -111,6 +117,30 @@ class TestStats:
     def test_malformed_file_is_data_error(self, tmp_path, capsys):
         path = write(tmp_path / "kg.tsv", "not tab separated\n")
         assert main(["stats", "--triples", path]) == 2
+
+    def test_module_runs_as_a_program(self, tmp_path, capsys):
+        path = write(tmp_path / "t.tsv", "h1\tr\tt\nh2\tr\tt\n")
+        assert main(["stats", "--triples", path]) == 0
+        want = capsys.readouterr().out
+        src = str(Path(kgvec.cli.__file__).parents[1])
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "kgvec.cli", "stats", "--triples", path],
+            env=dict(os.environ, PYTHONPATH=pythonpath),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == want
+
+    @pytest.mark.filterwarnings("ignore:'kgvec.cli' found in sys.modules:RuntimeWarning")
+    def test_main_block_exits_with_the_command_code(self, tmp_path, monkeypatch, capsys):
+        # The same run as above, in this process, where tools/untested_lines.py sees it.
+        path = write(tmp_path / "t.tsv", "h1\tr\tt\nh2\tr\tt\n")
+        monkeypatch.setattr(sys, "argv", ["kgvec", "stats", "--triples", path])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("kgvec.cli", run_name="__main__")
+        assert exc.value.code == 0
+        assert "MEAN\t1\t2" in capsys.readouterr().out
 
 
 class TestTrain:
@@ -1144,3 +1174,42 @@ class TestUsage:
         with pytest.raises(SystemExit):
             main(["rank-sweep", "--help"])
         assert "10,20,30,40,50,60,70,80,90,95,100" in capsys.readouterr().out
+
+
+class TestRepeatedCalls:
+    """One process builds the parser once; each call starts from its defaults."""
+
+    def test_command_is_found_at_call_time(self, tmp_path, monkeypatch, capsys):
+        path = write(tmp_path / "kg.tsv", "h\tr\tt\n")
+        assert main(["stats", "--triples", path]) == 0
+        ran = []
+
+        def stub(args):
+            ran.append(args.triples)
+            return 0
+
+        monkeypatch.setattr(kgvec.cli, "cmd_stats", stub)
+        assert main(["stats", "--triples", path]) == 0
+        assert ran == [path]
+
+    def test_config_file_values_stay_with_their_call(self, tmp_path, corpus_file,
+                                                     triples_file, capsys):
+        cfg = write(tmp_path / "run.cfg", "dim=8\nepochs=1\n")
+        inputs = ["--corpus", corpus_file, "--triples", triples_file, "--min-count", "1"]
+        report = tmp_path / "r.tsv"
+        assert main(["train", "--config", cfg, *inputs, "--report", str(report),
+                     "--checkpoint", str(tmp_path / "a.kgv")]) == 0
+        assert "\td\t8\t" in report.read_text(encoding="utf-8")
+        ck = tmp_path / "b.kgv"
+        assert main(["train", *inputs, "--checkpoint", str(ck)]) == 0
+        assert "\td\t100\t" in capsys.readouterr().out
+        assert load_checkpoint(ck).train_config.epochs == TrainConfig().epochs
+
+    def test_usage_error_leaves_the_next_call_clean(self, tmp_path, corpus_file, capsys):
+        ck = tmp_path / "model.kgv"
+        argv = ["train", "--corpus", corpus_file, "--variant", "sg", "--min-count", "1",
+                "--epochs", "1", "--checkpoint", str(ck), "--report", str(tmp_path / "r.tsv")]
+        assert main([*argv, "--dim", "x"]) == 1
+        assert not ck.exists()
+        assert main([*argv, "--dim", "4"]) == 0
+        assert load_checkpoint(ck).model_config.dim == 4

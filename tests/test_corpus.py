@@ -82,10 +82,6 @@ class TestMergePhrases:
         assert merge_phrases(once, index) == once
         assert len(once) <= len(toks)
 
-    def test_entry_too_long_rejected(self):
-        with pytest.raises(ValueError):
-            PhraseIndex([tuple("abcdefghi")])
-
     @pytest.mark.parametrize("entry", [(), tuple("abcdefghi")], ids=["0-words", "9-words"])
     def test_index_rejects_entry_length(self, entry):
         with pytest.raises(ValueError, match="1..8 words"):

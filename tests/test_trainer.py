@@ -20,6 +20,7 @@ from kgvec.trainer import (
     CHECKPOINT_MAGIC,
     TrainConfig,
     _check_params_finite,
+    _scatter_subtract,
     _sgd_text_block,
     init_state,
     load_checkpoint,
@@ -257,6 +258,14 @@ class TestTextBlock:
         first, last = int(match[1]), int(match[2])
         assert first % BLOCK == 0 and last - first == BLOCK - 1
         assert last < n_pairs  # caught inside epoch 1, not at its end
+
+    def test_scatter_refuses_a_table_that_is_not_c_contiguous(self):
+        # The flat view the scatter writes through would be a copy.
+        table = np.asfortranarray(np.arange(12.0).reshape(4, 3))
+        before = table.copy()
+        with pytest.raises(ValueError, match="C-contiguous"):
+            _scatter_subtract(table, np.array([0, 2]), np.ones((2, 3)))
+        np.testing.assert_array_equal(table, before)
 
 
 class TestMixingRatio:
