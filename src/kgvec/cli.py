@@ -149,11 +149,7 @@ def _build_parser() -> _Parser:
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    """Flags shared by train and rank-sweep.
-
-    ``--head-rank``, ``--tail-rank`` and ``--alpha`` default to None: their
-    defaults depend on ``--dim`` and ``--variant``.
-    """
+    """Flags shared by train and rank-sweep, one per config field."""
     md, td = _MODEL_DEFAULTS, _TRAIN_DEFAULTS
     p.add_argument("--config", help="key=value configuration file")
     p.add_argument("--corpus", help="UTF-8 text corpus (required unless alpha=1)")
@@ -170,16 +166,17 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
         "--variant",
         choices=VARIANTS,
         default=md.variant,
-        help=f"knowledge model variant; 'sg' is text-only (default: {md.variant})",
+        help="knowledge model variant; with --alpha 0 any variant trains text "
+        f"only (default: {md.variant})",
     )
     p.add_argument("--dim", type=int, default=md.dim, help=f"embedding size d (default: {md.dim})")
     p.add_argument(
-        "--head-rank", type=int, default=None,
-        help=f"rank bound of the head projection (default: {md.head_rank})",
+        "--head-rank", type=int,
+        help="rank bound of the lowrank head projection (default: max(1, dim // 2))",
     )
     p.add_argument(
-        "--tail-rank", type=int, default=None,
-        help=f"rank bound of the tail projection (default: {md.tail_rank})",
+        "--tail-rank", type=int,
+        help="rank bound of the lowrank tail projection (default: max(1, dim * 9 // 10))",
     )
     p.add_argument(
         "--negatives", type=int, default=md.negatives,
@@ -190,7 +187,7 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
         help=f"ranking-loss margin gamma (default: {md.margin})",
     )
     p.add_argument(
-        "--alpha", type=float, default=None,
+        "--alpha", type=float, default=td.alpha,
         help="knowledge share of the joint objective in [0,1]; 0 is plain "
         f"skip-gram (default: {td.alpha}; paper grid {DEFAULT_ALPHA_GRID})",
     )
@@ -245,21 +242,16 @@ def _parse_bool(text: str) -> bool:
 
 
 def _build_configs(args) -> tuple[ModelConfig, TrainConfig]:
-    # Rank defaults keep the reference d=100 proportions (50/100 and 90/100)
-    # when the user picks another dimension without pinning the ranks.
     model = ModelConfig(
         variant=args.variant,
         dim=args.dim,
-        head_rank=max(1, args.dim // 2) if args.head_rank is None else args.head_rank,
-        tail_rank=max(1, args.dim * 9 // 10) if args.tail_rank is None else args.tail_rank,
+        head_rank=args.head_rank,
+        tail_rank=args.tail_rank,
         negatives=args.negatives,
         margin=args.margin,
     )
-    # sg defaults to a pure-text run; an explicit contradictory --alpha still
-    # reaches TrainConfig/train and fails loudly there.
-    alpha_default = 0.0 if model.variant == "sg" else _TRAIN_DEFAULTS.alpha
     tcfg = TrainConfig(
-        alpha=alpha_default if args.alpha is None else args.alpha,
+        alpha=args.alpha,
         initial_lr=args.lr,
         epochs=args.epochs,
         window=args.window,

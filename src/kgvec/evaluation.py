@@ -62,19 +62,26 @@ class RelationAccuracy:
 
 @dataclass
 class SimilarityResult:
+    """Spearman rho of one similarity dataset."""
+
     dataset: str
     n_used: int
     skipped: int
     rho: float
 
+    def to_tsv(self) -> str:
+        return (
+            "dataset\tpairs\tskipped\tspearman_rho\n"
+            f"{self.dataset}\t{self.n_used}\t{self.skipped}\t{self.rho:.4f}\n"
+        )
+
 
 @dataclass
 class EvalReport:
-    """Accuracy-per-relation and/or Spearman-per-dataset rows."""
+    """Accuracy per relation of one analogy suite."""
 
     relation_rows: list[RelationAccuracy] = field(default_factory=list)
     skipped: int = 0
-    similarity_rows: list[SimilarityResult] = field(default_factory=list)
 
     @property
     def total_answered(self) -> int:
@@ -90,18 +97,11 @@ class EvalReport:
         return self.total_correct / answered if answered else 0.0
 
     def to_tsv(self) -> str:
-        lines = []
-        if self.relation_rows or not self.similarity_rows:
-            lines.append("relation\tquestions\taccuracy")
-            for r in self.relation_rows:
-                lines.append(f"{r.relation}\t{r.answered}\t{r.accuracy:.4f}")
-            lines.append(
-                f"TOTAL\t{self.total_answered}\t{self.total_accuracy:.4f}"
-            )
-            lines.append(f"SKIPPED\t{self.skipped}\t-")
-        for s in self.similarity_rows:
-            lines.append("dataset\tpairs\tskipped\tspearman_rho")
-            lines.append(f"{s.dataset}\t{s.n_used}\t{s.skipped}\t{s.rho:.4f}")
+        lines = ["relation\tquestions\taccuracy"]
+        for r in self.relation_rows:
+            lines.append(f"{r.relation}\t{r.answered}\t{r.accuracy:.4f}")
+        lines.append(f"TOTAL\t{self.total_answered}\t{self.total_accuracy:.4f}")
+        lines.append(f"SKIPPED\t{self.skipped}\t-")
         return "\n".join(lines) + "\n"
 
 
@@ -339,7 +339,7 @@ def run_similarity_suite(
     vocab: Vocabulary,
     vectors: np.ndarray,
     dataset: str = "similarity",
-) -> EvalReport:
+) -> SimilarityResult:
     """Cosine-score every in-vocabulary pair and correlate with the human
     scores; out-of-vocabulary pairs are skipped and counted."""
     model, human = [], []
@@ -356,11 +356,7 @@ def run_similarity_suite(
         raise UndefinedCorrelationError(
             f"{dataset}: only {len(model)} scorable pairs"
         )
-    rho = spearman_rho(model, human)
-    return EvalReport(
-        skipped=skipped,
-        similarity_rows=[SimilarityResult(dataset, len(model), skipped, rho)],
-    )
+    return SimilarityResult(dataset, len(model), skipped, spearman_rho(model, human))
 
 
 # ---------------------------------------------------------------------------

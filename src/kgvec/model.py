@@ -12,7 +12,6 @@ relation bundle class below (see ``RELATION_TYPES``):
                  no relation vector in the score.
 * ``transr``   — one shared full matrix per relation (TransR):
                  f = ||M h + r - M t||^2.
-* ``sg``       — text-only placeholder: no knowledge parameters at all.
 
 Lower score means a more plausible triple.  All gradients here are plain
 analytic derivatives, verified against central finite differences in the
@@ -32,7 +31,7 @@ import numpy as np
 from .errors import ConfigError, NumericError
 from .projection import LowRankProjection, init_projection
 
-VARIANTS = ("lowrank", "transe", "transh", "se", "transr", "sg")
+VARIANTS = ("lowrank", "transe", "transh", "se", "transr")
 
 # Logistic inputs are clamped here before exponentiation; at 64-bit this is
 # bias-free to ~1e-13 while ruling out overflow.
@@ -49,16 +48,27 @@ def all_finite(a: np.ndarray) -> bool:
 
 @dataclass
 class ModelConfig:
-    """Model shape: variant, dimension, rank bounds, loss constants."""
+    """Model shape: variant, dimension, rank bounds, loss constants.
+
+    A rank left as None becomes the reference proportion of ``dim`` (50 and
+    90 at d=100): ``max(1, dim // 2)`` for the head, ``max(1, dim * 9 // 10)``
+    for the tail.  Only ``lowrank`` reads the ranks.  A text-only run is any
+    variant trained with ``alpha = 0``.
+    """
 
     variant: str = "lowrank"
     dim: int = 100
-    head_rank: int = 50
-    tail_rank: int = 90
+    head_rank: int | None = None
+    tail_rank: int | None = None
     negatives: int = 5
     margin: float = 1.0
 
     def __post_init__(self) -> None:
+        if isinstance(self.dim, numbers.Integral):  # else the check below names dim
+            if self.head_rank is None:
+                self.head_rank = max(1, self.dim // 2)
+            if self.tail_rank is None:
+                self.tail_rank = max(1, self.dim * 9 // 10)
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         for name in ("dim", "head_rank", "tail_rank", "negatives"):
@@ -378,7 +388,7 @@ class TransRRelation(_RelationArrays):
 
 RelationParams = LowRankRelation | TransERelation | TransHRelation | SERelation | TransRRelation
 
-# Bundle class of each knowledge variant; sg, text only, keeps no bundles.
+# Bundle class of each knowledge variant.
 RELATION_TYPES: dict[str, type] = {
     "lowrank": LowRankRelation,
     "transe": TransERelation,
@@ -390,8 +400,7 @@ RELATION_TYPES: dict[str, type] = {
 
 def relation_array_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Shape of each array in one relation's view, in view order."""
-    kind = RELATION_TYPES.get(config.variant)
-    return kind.shapes(config) if kind else {}
+    return RELATION_TYPES[config.variant].shapes(config)
 
 
 def relation_params_from_arrays(
@@ -401,9 +410,7 @@ def relation_params_from_arrays(
 ) -> list[RelationParams]:
     """The bundles ``init_relation_params`` would shape, with relation i's
     arrays taken from ``array(i, name)``."""
-    kind = RELATION_TYPES.get(config.variant)
-    if not kind:
-        return []
+    kind = RELATION_TYPES[config.variant]
     names = kind.shapes(config)
     return [kind.from_arrays({n: array(i, n) for n in names}) for i in range(n_relations)]
 
@@ -411,10 +418,9 @@ def relation_params_from_arrays(
 def init_relation_params(
     config: ModelConfig, n_relations: int, rng: np.random.Generator
 ) -> list[RelationParams]:
-    """One parameter bundle per relation, of the variant's class; ``sg`` has
-    no knowledge side at all."""
-    kind = RELATION_TYPES.get(config.variant)
-    return [kind.init(config, rng) for _ in range(n_relations)] if kind else []
+    """One parameter bundle per relation, of the variant's class."""
+    kind = RELATION_TYPES[config.variant]
+    return [kind.init(config, rng) for _ in range(n_relations)]
 
 
 # ---------------------------------------------------------------------------

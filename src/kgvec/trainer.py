@@ -186,8 +186,6 @@ def train(
     mc, tc = model_config, train_config
     use_text = tc.alpha < 1.0
     use_kg = tc.alpha > 0.0
-    if mc.variant == "sg" and use_kg:
-        raise ConfigError("variant 'sg' is text-only and requires alpha == 0")
 
     root = np.random.SeedSequence(tc.seed)
     # Child 0 is reserved for init_state so the layout is stable.
@@ -491,6 +489,10 @@ def _checked_section(path, what: str, section, keys) -> dict:
 
 def _checked_config(path, what: str, cls, section):
     _checked_section(path, what, section, [f.name for f in fields(cls)])
+    # A saved config holds every value; a null would take a derived default.
+    null = [key for key, value in section.items() if value is None]
+    if null:
+        raise CheckpointError(f"{path}: checkpoint {what} rejected: {null[0]} is null")
     try:
         return cls(**section)
     except (TypeError, ValueError) as exc:

@@ -455,11 +455,10 @@ def _smoke_gap(seed):
         questions, make_analogy_predictor(state, "relational"), vocab
     ).total_accuracy
 
-    sg_mc = ModelConfig(variant="sg", dim=32)
-    sg_tc = TrainConfig(alpha=0.0, epochs=3, seed=seed, window=3)
-    sg_state, _ = train(tokens, vocab, None, sg_mc, sg_tc)
+    text_tc = TrainConfig(alpha=0.0, epochs=3, seed=seed, window=3)
+    text_state, _ = train(tokens, vocab, None, mc, text_tc)
     baseline = run_analogy_suite(
-        questions, make_analogy_predictor(sg_state, "relational"), vocab
+        questions, make_analogy_predictor(text_state, "relational"), vocab
     ).total_accuracy
     return joint, baseline, train_seconds, report
 

@@ -30,6 +30,7 @@ from kgvec.model import (
     LowRankRelation,
     ModelConfig,
     SERelation,
+    TransERelation,
     TransRRelation,
 )
 from kgvec.projection import LowRankProjection
@@ -160,9 +161,9 @@ class TestTrain:
         state = load_checkpoint(ck)
         assert state.model_config.dim == 100
 
-    def test_sg_variant_needs_no_triples(self, tmp_path, corpus_file, capsys):
+    def test_alpha_zero_needs_no_triples(self, tmp_path, corpus_file, capsys):
         ck = tmp_path / "model.kgv"
-        rc = main(["train", "--corpus", corpus_file, "--variant", "sg",
+        rc = main(["train", "--corpus", corpus_file, "--alpha", "0",
                    "--min-count", "1", "--dim", "16", "--checkpoint", str(ck),
                    "--report", str(tmp_path / "rep.tsv")])
         assert rc == 0
@@ -170,9 +171,9 @@ class TestTrain:
         assert state.params == []
         assert state.train_config.alpha == 0.0
 
-    def test_sg_checkpoint_round_trips(self, tmp_path, corpus_file, capsys):
+    def test_text_only_checkpoint_round_trips(self, tmp_path, corpus_file, capsys):
         ck = tmp_path / "model.kgv"
-        assert main(["train", "--corpus", corpus_file, "--variant", "sg",
+        assert main(["train", "--corpus", corpus_file, "--alpha", "0",
                      "--min-count", "1", "--dim", "8", "--checkpoint", str(ck),
                      "--report", str(tmp_path / "rep.tsv")]) == 0
         state = load_checkpoint(ck)
@@ -269,7 +270,7 @@ class TestTrain:
         cfg = write(tmp_path / "run.cfg", f"float32={value}\n")
         given = ["--config", cfg] if source == "config" else ["--float32", value]
         ck = tmp_path / "model.kgv"
-        rc = main(["train", "--corpus", corpus_file, "--variant", "sg", "--min-count", "1",
+        rc = main(["train", "--corpus", corpus_file, "--alpha", "0", "--min-count", "1",
                    "--dim", "4", "--epochs", "1", *given, "--checkpoint", str(ck)])
         if float32 is None:
             assert rc == 1
@@ -277,6 +278,14 @@ class TestTrain:
         else:
             assert rc == 0
             assert load_checkpoint(ck).train_config.use_float32 is float32
+
+    def test_sg_variant_is_usage_error(self, tmp_path, corpus_file, capsys):
+        ck = tmp_path / "model.kgv"
+        rc = main(["train", "--corpus", corpus_file, "--variant", "sg", "--alpha", "0",
+                   "--min-count", "1", "--checkpoint", str(ck)])
+        assert rc == 1
+        assert "invalid choice: 'sg'" in capsys.readouterr().err
+        assert not ck.exists()
 
     def test_alpha_validation_is_usage_error(self, tmp_path, corpus_file,
                                              triples_file, capsys):
@@ -558,6 +567,8 @@ class TestCheckpointHeaders:
             pytest.param(lambda h: h["model"].update(dim="wide"), id="rejected-dim"),
             pytest.param(lambda h: h["model"].update(dim=2.0), id="float-dim"),
             pytest.param(lambda h: h["model"].update(head_rank=True), id="bool-head-rank"),
+            pytest.param(lambda h: h["model"].update(head_rank=None), id="null-head-rank"),
+            pytest.param(lambda h: h["model"].update(variant="sg"), id="sg-variant"),
             pytest.param(lambda h: h["model"].update(negatives=1.5), id="float-negatives"),
             pytest.param(lambda h: h["model"].update(margin=float("nan")), id="nan-margin"),
             pytest.param(lambda h: h["model"].update(margin=float("inf")), id="inf-margin"),
@@ -585,6 +596,15 @@ class TestCheckpointHeaders:
                    "--output", str(tmp_path / "v.txt")])
         assert rc == 2
         assert str(checkpoint) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["head_rank", "tail_rank"])
+    def test_null_rank_is_refused_where_no_shape_reads_it(self, tmp_path, field):
+        # transe stores no rank-shaped array, so the size check cannot catch it.
+        ck = tmp_path / "model.kgv"
+        save_checkpoint(shaped_state("transe", [TransERelation()]), ck)
+        rewrite_header(ck, lambda h: h["model"].update({field: None}))
+        with pytest.raises(CheckpointError, match=f"checkpoint model rejected: {field} is null"):
+            load_checkpoint(ck)
 
     def test_huge_dim_fails_before_allocating(self, tmp_path, checkpoint, monkeypatch):
         rewrite_header(checkpoint, lambda h: h["model"].update(dim=10**11))
@@ -1170,6 +1190,14 @@ class TestUsage:
         assert "default: 1.0" in text  # margin
         assert "0.01,0.05,0.1,0.2,0.5" in text  # alpha grid
 
+    def test_help_shows_the_rank_rule_not_a_fixed_rank(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["train", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert "(default: max(1, dim // 2))" in text
+        assert "(default: max(1, dim * 9 // 10))" in text
+        assert "default: 50" not in text and "default: 90" not in text
+
     def test_rank_sweep_help_shows_grid(self, capsys):
         with pytest.raises(SystemExit):
             main(["rank-sweep", "--help"])
@@ -1207,7 +1235,7 @@ class TestRepeatedCalls:
 
     def test_usage_error_leaves_the_next_call_clean(self, tmp_path, corpus_file, capsys):
         ck = tmp_path / "model.kgv"
-        argv = ["train", "--corpus", corpus_file, "--variant", "sg", "--min-count", "1",
+        argv = ["train", "--corpus", corpus_file, "--alpha", "0", "--min-count", "1",
                 "--epochs", "1", "--checkpoint", str(ck), "--report", str(tmp_path / "r.tsv")]
         assert main([*argv, "--dim", "x"]) == 1
         assert not ck.exists()

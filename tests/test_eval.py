@@ -113,7 +113,7 @@ class TestAnalogy3CosAdd:
         for _ in range(10):
             vectors = rng.standard_normal((30, 6))
             vectors[7] = 0.0  # a zero row, whose norm is floored
-            state = make_state(vocab, vectors, np.zeros((0, 6)), [], "sg")
+            state = make_state(vocab, vectors, np.zeros((0, 6)), [])
             predict = make_analogy_predictor(state, "3cosadd")
             for _ in range(20):
                 a, b, c = (words[i] for i in rng.choice(30, size=3, replace=False))
@@ -129,7 +129,7 @@ class TestAnalogy3CosAdd:
         )
         for winner, w3 in (("w3", [-1.0, 1.0, 1.0]), ("w5", [0.0, 0.0, -1.0])):
             vectors[3] = w3
-            state = make_state(vocab, vectors.copy(), np.zeros((0, 3)), [], "sg")
+            state = make_state(vocab, vectors.copy(), np.zeros((0, 3)), [])
             predict = make_analogy_predictor(state, "3cosadd")
             assert predict("w0", "w1", "w2") == winner
             assert analogy_3cosadd("w0", "w1", "w2", vocab, vectors) == winner
@@ -321,7 +321,7 @@ class TestRelationalAnalogy:
 
     def test_unknown_mode_rejected(self):
         vocab = make_vocab(["a", "b"])
-        state = make_state(vocab, np.eye(2), np.zeros((0, 2)), [], "sg")
+        state = make_state(vocab, np.eye(2), np.zeros((0, 2)), [])
         with pytest.raises(ValueError):
             make_analogy_predictor(state, "cosmul")
 
@@ -532,7 +532,7 @@ class TestSimilaritySuite:
             SimilarityPair("a", "d", 0.01),
         ]
         report = run_similarity_suite(pairs, vocab, vectors)
-        assert report.similarity_rows[0].rho == 1.0
+        assert report.rho == 1.0
 
     def test_oov_pairs_skipped(self):
         vocab = make_vocab(["a", "b", "c"])
@@ -543,8 +543,8 @@ class TestSimilaritySuite:
             SimilarityPair("a", "zzz", 0.5),
         ]
         report = run_similarity_suite(pairs, vocab, vectors)
-        assert report.similarity_rows[0].n_used == 2
-        assert report.similarity_rows[0].skipped == 1
+        assert report.n_used == 2
+        assert report.skipped == 1
 
     def test_too_few_scorable_pairs(self):
         vocab = make_vocab(["a", "b"])

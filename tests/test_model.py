@@ -62,6 +62,22 @@ class TestModelConfig:
         cfg = ModelConfig(dim=np.int64(4), head_rank=np.int32(2), tail_rank=2)
         assert cfg.dim == 4
 
+    @pytest.mark.parametrize(
+        "dim, ranks", [(1, (1, 1)), (2, (1, 1)), (7, (3, 6)), (32, (16, 28)), (100, (50, 90))]
+    )
+    def test_ranks_default_to_proportions_of_dim(self, dim, ranks):
+        cfg = ModelConfig(dim=dim)
+        assert (cfg.head_rank, cfg.tail_rank) == ranks
+
+    def test_lowrank_below_the_reference_dim_constructs(self):
+        assert ModelConfig("lowrank", dim=32).tail_rank == 28
+        assert (ModelConfig().head_rank, ModelConfig().tail_rank) == (50, 90)
+        assert ModelConfig(dim=32, head_rank=3).head_rank == 3
+
+    def test_non_integer_dim_named_before_ranks_derive(self):
+        with pytest.raises(ValueError, match="dim must be an integer"):
+            ModelConfig(dim="wide")
+
 
 class TestScoreTriple:
     def test_lowrank_exact_translation_scores_zero(self):
@@ -437,7 +453,6 @@ class TestInitRelationParams:
             TransERelation(),
             TransERelation(),
         ]
-        assert init_relation_params(ModelConfig(variant="sg", dim=6), 3, rng) == []
 
 
 class TestEmbeddingExport:

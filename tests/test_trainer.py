@@ -66,7 +66,7 @@ class TestLrSchedule:
 
         monkeypatch.setattr("kgvec.trainer._sgd_text_block", record)
         tc = TrainConfig(alpha=0.0, epochs=2, window=2, seed=3)
-        train(tokens, vocab, None, small_model("sg"), tc)
+        train(tokens, vocab, None, small_model(), tc)
         total = tc.epochs * len(context_pair_arrays(vocab.encode(tokens), tc.window)[0])
         want = [lr_at(s, total, tc.initial_lr) for s in range(total)]
         assert np.concatenate(seen).tolist() == want
@@ -151,8 +151,6 @@ class TestDegenerateMixes:
             train(None, vocab, triples, mc, TrainConfig(alpha=0.5))
         with pytest.raises(ConfigError):
             train(tokens, vocab, None, mc, TrainConfig(alpha=0.5))
-        with pytest.raises(ConfigError):  # text-only variant with knowledge share
-            train(tokens, vocab, triples, small_model("sg"), TrainConfig(alpha=0.5))
 
     def test_vocab_must_cover_entities(self, world):
         tokens, _, triples = world
@@ -203,7 +201,7 @@ class TestDeterminism:
 class TestSubsampling:
     def test_seeded_run_repeats_bitwise_on_fewer_pairs(self, world):
         tokens, vocab, _ = world
-        mc = ModelConfig(variant="sg", dim=8)
+        mc = ModelConfig(dim=8)
         runs = [
             train(tokens, vocab, None, mc,
                   TrainConfig(alpha=0.0, window=2, seed=5, subsample=subsample))
@@ -321,14 +319,37 @@ def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-class TestCheckpoint:
-    @pytest.mark.parametrize("variant", VARIANTS)
-    def test_round_trip_bitwise(self, world, tmp_path, variant):
+class TestTextOnly:
+    def test_triples_leave_an_alpha_zero_run_unchanged(self, world):
         tokens, vocab, triples = world
-        mc = small_model(variant)
-        alpha = 0.0 if variant == "sg" else 0.5
+        tc = TrainConfig(alpha=0.0, epochs=1, window=2, seed=4)
+        (joint, _), (text, _) = (
+            train(tokens, vocab, kg, small_model(), tc) for kg in (triples, None)
+        )
+        assert same_bits(joint.store.input_vectors, text.store.input_vectors)
+        assert same_bits(joint.store.output_vectors, text.store.output_vectors)
+        assert text.params == [] and text.store.relation_vectors.shape == (0, 16)
+        # The knowledge side is built and left as initialised.
+        start = init_state(vocab, triples.relation_names, small_model(), tc)
+        assert same_bits(joint.store.relation_vectors, start.store.relation_vectors)
+        for trained, initial in zip(joint.params, start.params, strict=True):
+            assert all(
+                same_bits(a, b) for a, b in zip(trained.arrays().values(), initial.arrays().values())
+            )
+
+
+class TestCheckpoint:
+    @pytest.mark.parametrize(
+        "variant, alpha",
+        [*(pytest.param(v, 0.5, id=v) for v in VARIANTS),
+         pytest.param("lowrank", 0.0, id="text-only")],
+    )
+    def test_round_trip_bitwise(self, world, tmp_path, variant, alpha):
+        tokens, vocab, triples = world
         tc = TrainConfig(alpha=alpha, epochs=1, seed=8, window=2)
-        state, _ = train(tokens, vocab, triples, mc, tc)
+        # The text-only case has no relations, so its stacks are empty.
+        kg = triples if alpha else None
+        state, _ = train(tokens, vocab, kg, small_model(variant), tc)
         path = tmp_path / "model.kgv"
         save_checkpoint(state, path)
         loaded = load_checkpoint(path)

@@ -8,7 +8,10 @@ the first line that differs (exit status 1).  The digests are:
 
 * **Checkpoints.**  ``kgvec train`` runs in-process on a small joint world
   (``relation_world`` from ``tests/synthdata.py``: three relations, text and
-  knowledge) for all six variants in float64 and float32 at a fixed seed.
+  knowledge) for the five knowledge variants at alpha 0.5 and one text-only
+  ``lowrank`` run at alpha 0, in float64 and float32 at a fixed seed.  The
+  list is fixed here, not read from the tree, so both trees train the same
+  runs.
   For each run it prints the final combined loss (``repr``, so every bit
   shows), the SHA-256 of the loaded configs, vocabulary tokens and counts
   and relation names, and one SHA-256 per array of the loaded checkpoint
@@ -135,23 +138,28 @@ def _print_run(run: str, report, ckpt: Path) -> None:
         print(f"{run}\t{name} {h.hexdigest()}")
 
 
-def _checkpoint_digests(root: Path) -> None:
-    from kgvec.model import VARIANTS
+# (variant, alpha) of each checkpoint run: every knowledge variant, then text only.
+CHECKPOINT_RUNS = [
+    *((v, "0.5") for v in ("lowrank", "transe", "transh", "se", "transr")),
+    ("lowrank", "0"),
+]
 
+
+def _checkpoint_digests(root: Path) -> None:
     corpus, tsv = _write_world(root)
-    for variant in VARIANTS:
+    for variant, alpha in CHECKPOINT_RUNS:
         for float32 in ("false", "true"):
-            ckpt = root / f"{variant}-{float32}.kgv"
+            ckpt = root / f"{variant}-{alpha}-{float32}.kgv"
             report = _train_cli([
                 "train", "--corpus", str(corpus), "--triples", str(tsv),
                 "--checkpoint", str(ckpt), "--min-count", "1",
                 "--variant", variant, "--dim", "16",
                 "--head-rank", "4", "--tail-rank", "12",
-                "--alpha", "0" if variant == "sg" else "0.5",
+                "--alpha", alpha,
                 "--epochs", "2", "--window", "2",
                 "--seed", "11", "--float32", float32,
             ])
-            run = f"{variant}\t{'float32' if float32 == 'true' else 'float64'}"
+            run = f"{variant}\talpha {alpha}\t{'float32' if float32 == 'true' else 'float64'}"
             _print_run(run, report, ckpt)
 
 

@@ -8,6 +8,13 @@ count.  A line is executable when the compiler attributes bytecode to it;
 docstrings and comments are not.  Only the standard library and pytest are
 needed.  Tracing roughly doubles the test suite's run time.
 
+Python processes that the tests start (``python -m kgvec.cli``, the demos)
+are traced too: the pytest run gets a ``PYTHONPATH`` whose first entry is a
+temporary directory holding a ``sitecustomize.py``, which installs the same
+hook in each child and writes the child's lines to that directory at exit.
+A child keeps that entry as long as it extends ``PYTHONPATH`` rather than
+replacing it, and a child that does not exit normally reports nothing.
+
 Run from the repository root; arguments after ``--`` go to pytest:
 
     python3 tools/untested_lines.py
@@ -17,9 +24,14 @@ Run from the repository root; arguments after ``--`` go to pytest:
 from __future__ import annotations
 
 import argparse
+import atexit
+import json
+import os
 import sys
+import tempfile
 from pathlib import Path
 from types import CodeType
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "kgvec"
@@ -36,12 +48,19 @@ def executable_lines(path: Path) -> set[int]:
     return lines
 
 
-def run_traced(pytest_args: list[str]) -> tuple[int, dict[str, set[int]]]:
-    """Run pytest under the line tracer; (pytest status, lines run per file)."""
-    import pytest
+# Installs the tracer of this file in a child; formatted with two paths.
+CHILD_HOOK = """\
+import importlib.util
+spec = importlib.util.spec_from_file_location("_untested_lines", {tool!r})
+tool = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tool)
+tool.trace_into({out!r})
+"""
 
+
+def line_tracer(ran: dict[str, set[int]]):
+    """A ``sys.settrace`` hook adding the ``src/kgvec`` lines run to ``ran``."""
     prefix = str(PACKAGE) + "/"
-    ran: dict[str, set[int]] = {}
 
     def local(frame, event, arg):
         if event == "line":
@@ -55,12 +74,43 @@ def run_traced(pytest_args: list[str]) -> tuple[int, dict[str, set[int]]]:
         ran.setdefault(filename, set()).add(frame.f_lineno)
         return local
 
+    return calls
+
+
+def trace_into(out_dir: str) -> None:
+    """Trace this process; at exit, write its lines as JSON into ``out_dir``."""
+    ran: dict[str, set[int]] = {}
+
+    def save() -> None:
+        fd, _ = tempfile.mkstemp(suffix=".json", dir=out_dir)
+        with os.fdopen(fd, "w") as fh:
+            json.dump({name: sorted(lines) for name, lines in ran.items()}, fh)
+
+    atexit.register(save)
+    sys.settrace(line_tracer(ran))
+
+
+def run_traced(pytest_args: list[str]) -> tuple[int, dict[str, set[int]]]:
+    """Run pytest under the line tracer, its Python children too; (pytest
+    status, lines run per file)."""
+    import pytest
+
+    ran: dict[str, set[int]] = {}
     sys.path.insert(0, str(PACKAGE.parent))
-    sys.settrace(calls)
-    try:
-        status = pytest.main(["-q", "-p", "no:cacheprovider", *pytest_args])
-    finally:
-        sys.settrace(None)
+    with tempfile.TemporaryDirectory() as out:
+        Path(out, "sitecustomize.py").write_text(
+            CHILD_HOOK.format(tool=str(Path(__file__).resolve()), out=out), encoding="utf-8"
+        )
+        path = os.pathsep.join(filter(None, [out, os.environ.get("PYTHONPATH")]))
+        with mock.patch.dict(os.environ, PYTHONPATH=path):
+            sys.settrace(line_tracer(ran))
+            try:
+                status = pytest.main(["-q", "-p", "no:cacheprovider", *pytest_args])
+            finally:
+                sys.settrace(None)
+        for child in Path(out).glob("*.json"):
+            for name, lines in json.loads(child.read_text(encoding="utf-8")).items():
+                ran.setdefault(name, set()).update(lines)
     return int(status), ran
 
 
