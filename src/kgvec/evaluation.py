@@ -21,6 +21,10 @@ from .model import ModelConfig
 from .trainer import ModelState, TrainConfig, train
 
 _EPS = 1e-12
+# Bytes of the largest temporary array that answering a block of analogy
+# questions builds: the block's targets, a row tile of scores, a chunk of
+# relation fits.  The question blocks and tiles are sized from it.
+_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -158,39 +162,92 @@ def load_similarity_pairs(path: str | Path) -> list[SimilarityPair]:
 # ---------------------------------------------------------------------------
 
 
+def _span(width: int) -> int:
+    """How many rows of ``width`` float64 values fit in ``_BLOCK_BYTES``."""
+    return max(1, _BLOCK_BYTES // (8 * width))
+
+
+def _rows(vocab: Vocabulary, *columns: Sequence[str]) -> np.ndarray:
+    """Vocabulary rows of the questions' tokens, ``(n, len(columns))``."""
+    return np.array([[vocab.index[t] for t in col] for col in columns], dtype=np.intp).T
+
+
+def _best_rows(scores: Callable, n_rows: int, exclude: np.ndarray) -> np.ndarray:
+    """Row of the highest score for each question, found by row tiles.
+
+    ``scores(lo, hi)`` returns a new array of rows ``lo:hi`` of the
+    ``(rows, questions)`` score table; no question may answer one of its
+    ``exclude`` rows.  A later tile replaces a question's best only with a
+    strictly higher score, so ties break toward the lowest row.
+    """
+    n = len(exclude)
+    banned, cols = exclude.ravel(), np.repeat(np.arange(n), exclude.shape[1])
+    best, rows = np.full(n, -np.inf), np.zeros(n, dtype=np.intp)
+    step = _span(n)
+    for lo in range(0, n_rows, step):
+        tile = scores(lo, lo + step)
+        hit = (banned >= lo) & (banned < lo + step)
+        tile[banned[hit] - lo, cols[hit]] = -np.inf
+        top = tile.argmax(axis=0)
+        value = tile[top, np.arange(n)]
+        better = value > best
+        best[better], rows[better] = value[better], top[better] + lo
+        del tile  # so that two tiles are never alive at once
+    return rows
+
+
 def analogy_3cosadd(
-    a: str,
-    b: str,
-    c: str,
+    a: str | Sequence[str],
+    b: str | Sequence[str],
+    c: str | Sequence[str],
     vocab: Vocabulary,
     vectors: np.ndarray,
     row_norms: np.ndarray | None = None,
-) -> str:
-    """argmax over the vocabulary (minus a, b, c) of cosine(b - a + c, w).
+) -> str | list[str]:
+    """argmax over the vocabulary (minus a, b, c) of cosine(b - a + c, w),
+    each of the two norms floored at ``_EPS``.
 
-    ``row_norms``, if given, must be ``np.linalg.norm(vectors, axis=1)``;
-    passing it saves a pass over the whole table per question.  Ties break
-    toward the lowest token index.
+    ``a``, ``b`` and ``c`` are one question's tokens, answered with a token,
+    or three equally long token sequences, answered with a list; one
+    question is a block of one.  Each block of questions reads the table
+    once, by row tiles ``tile @ targets.T``.  ``row_norms``, if given, must
+    be ``np.linalg.norm(vectors, axis=1)``; passing it saves a pass over the
+    whole table per call.  Ties break toward the lowest token index.
     """
-    ia, ib, ic = vocab.index[a], vocab.index[b], vocab.index[c]
-    target = vectors[ib] - vectors[ia] + vectors[ic]
+    if isinstance(a, str):
+        return analogy_3cosadd([a], [b], [c], vocab, vectors, row_norms)[0]
     if row_norms is None:
         row_norms = np.linalg.norm(vectors, axis=1)
-    norms = row_norms * max(np.linalg.norm(target), _EPS)
-    sims = (vectors @ target) / np.maximum(norms, _EPS)
-    sims[[ia, ib, ic]] = -np.inf
-    return vocab.tokens[int(np.argmax(sims))]
+    rows = _rows(vocab, a, b, c)
+    step = _span(vectors.shape[1])
+    answers: list[str] = []
+    for block in (rows[lo:lo + step] for lo in range(0, len(rows), step)):
+        targets = vectors[block[:, 1]] - vectors[block[:, 0]] + vectors[block[:, 2]]
+        scale = np.maximum(np.linalg.norm(targets, axis=1), _EPS)
+
+        def cosines(lo, hi):
+            sims = vectors[lo:hi] @ targets.T
+            sims /= np.maximum(row_norms[lo:hi, None], _EPS)
+            sims /= scale
+            return sims
+
+        answers += (vocab.tokens[i] for i in _best_rows(cosines, len(vectors), block))
+    return answers
 
 
 class RelationalAnalogy:
     """Two-step predictor: pick r* minimizing the (a, b) triple score, then
     rank every candidate w by the (c, r*, w) score.
 
-    The dense head and tail maps are stacked into two ``(R, d, d)`` arrays,
-    so picking r* is one batched product, memoised per (a, b).  Each
-    relation's projected candidates ``P`` and their squared row norms are
-    computed on first use and cached, so a question costs one
-    matrix-vector product: ``|P_w - t|^2 = |P_w|^2 - 2 P_w . t + |t|^2``.
+    A call takes one question's tokens or three equally long token
+    sequences, like :func:`analogy_3cosadd`.  The dense head and tail maps
+    are stacked into two ``(R, d, d)`` arrays, so picking r* for a chunk of
+    distinct (a, b) pairs is one product per stack, memoised per pair.
+    Each relation's projected candidates ``P`` and their squared row norms
+    are computed on first use and cached.  Since
+    ``|P_w - t|^2 = |P_w|^2 - 2 P_w . t + |t|^2`` and ``|t|^2`` is the same
+    for every candidate, the questions of a block that share r* are ranked
+    together by ``2 P_w . t - |P_w|^2``, one product per row tile of ``P``.
     Batched sums can round differently from a relation-by-relation or
     direct difference scan, so answers may differ only where two relations'
     fits or two candidates' scores tie within rounding.  Every cache lives
@@ -222,29 +279,55 @@ class RelationalAnalogy:
             self._projected[r] = (tails, np.einsum("ij,ij->i", tails, tails))
         return self._projected[r]
 
+    def _search(self, pairs: Sequence[tuple[str, str]]) -> None:
+        """Memoise each (a, b) pair's best relation: for a chunk of pairs,
+        ``A a + r - B b`` over every relation is one product per stack."""
+        n_rel, d, _ = self.head_maps.shape
+        step = _span(n_rel * d)
+        for lo in range(0, len(pairs), step):
+            chunk = pairs[lo:lo + step]
+            heads, tails = _rows(self.vocab, *zip(*chunk)).T
+            e = self.head_maps.reshape(-1, d) @ self.vectors[heads].T
+            e += self.relation_vectors.reshape(-1, 1)
+            e -= self.tail_maps.reshape(-1, d) @ self.vectors[tails].T
+            e = e.reshape(n_rel, d, -1)
+            fits = np.einsum("rdp,rdp->rp", e, e)
+            self._best.update(zip(chunk, fits.argmin(axis=0).tolist()))
+
     def best_relation(self, a: str, b: str) -> int:
         """Index of the relation whose projections best explain (a, b)."""
         if (a, b) not in self._best:
-            va = self.vectors[self.vocab.index[a]]
-            vb = self.vectors[self.vocab.index[b]]
-            e = (np.tensordot(self.head_maps, va, 1) + self.relation_vectors
-                 - np.tensordot(self.tail_maps, vb, 1))
-            self._best[a, b] = int(np.argmin(np.einsum("ij,ij->i", e, e)))
+            self._search([(a, b)])
         return self._best[a, b]
 
-    def __call__(self, a: str, b: str, c: str) -> str:
-        ia, ib, ic = (self.vocab.index[t] for t in (a, b, c))
-        vc = self.vectors[ic]
-        r_star = self.best_relation(a, b)
-        target = self.head_maps[r_star] @ vc + self.relation_vectors[r_star]
-        tails, sq_norms = self._projected_tails(r_star)
-        scores = sq_norms - 2.0 * (tails @ target) + _sq(target)
-        scores[[ia, ib, ic]] = np.inf
-        return self.vocab.tokens[int(np.argmin(scores))]
+    def __call__(
+        self, a: str | Sequence[str], b: str | Sequence[str], c: str | Sequence[str]
+    ) -> str | list[str]:
+        if isinstance(a, str):
+            return self([a], [b], [c])[0]
+        rows = _rows(self.vocab, a, b, c)
+        pairs = list(zip(a, b))
+        best = np.empty(len(pairs), dtype=np.intp)
+        step = _span(self.vectors.shape[1])
+        for start in range(0, len(pairs), step):
+            block = pairs[start:start + step]
+            self._search([p for p in dict.fromkeys(block) if p not in self._best])
+            groups: dict[int, list[int]] = {}
+            for j, (x, y) in enumerate(block, start):
+                groups.setdefault(self.best_relation(x, y), []).append(j)
+            for r, group in groups.items():
+                targets = self.vectors[rows[group, 2]] @ self.head_maps[r].T
+                targets += self.relation_vectors[r]
+                tails, sq_norms = self._projected_tails(r)
 
+                def scores(lo, hi):
+                    s = tails[lo:hi] @ targets.T
+                    s *= 2.0
+                    s -= sq_norms[lo:hi, None]
+                    return s
 
-def _sq(v: np.ndarray) -> float:
-    return float(v @ v)
+                best[group] = _best_rows(scores, len(tails), rows[group])
+        return [self.vocab.tokens[i] for i in best]
 
 
 def _has_dense_maps(state: ModelState) -> bool:
@@ -255,9 +338,11 @@ def _has_dense_maps(state: ModelState) -> bool:
 
 def make_analogy_predictor(
     state: ModelState, mode: str = "relational"
-) -> Callable[[str, str, str], str]:
+) -> Callable[..., str | list[str]]:
     """Predictor factory with the documented fallback: relational mode on a
-    variant without usable relation parameters degrades to 3CosAdd."""
+    variant without usable relation parameters degrades to 3CosAdd.  The
+    predictor takes one question's tokens or three token sequences, as
+    :func:`analogy_3cosadd` does."""
     if mode not in ("relational", "3cosadd"):
         raise ValueError(f"unknown analogy mode {mode!r}")
     if mode == "relational" and _has_dense_maps(state):
@@ -265,7 +350,7 @@ def make_analogy_predictor(
     vocab, vectors = state.vocab, state.store.input_vectors
     row_norms = np.linalg.norm(vectors, axis=1)
 
-    def predict(a: str, b: str, c: str) -> str:
+    def predict(a, b, c):
         return analogy_3cosadd(a, b, c, vocab, vectors, row_norms)
 
     return predict
@@ -273,23 +358,28 @@ def make_analogy_predictor(
 
 def run_analogy_suite(
     questions: Sequence[AnalogyQuestion],
-    predict: Callable[[str, str, str], str],
+    predict: Callable[..., list[str]],
     vocab: Vocabulary,
 ) -> EvalReport:
     """Score questions, skipping (and counting) any with out-of-vocabulary
-    tokens; accuracy is correct/answered per relation label."""
+    tokens; accuracy is correct/answered per relation label.
+
+    The answerable questions go to ``predict`` in one call, as three token
+    lists, and ``predict`` returns the list of answers; the predictors of
+    :func:`make_analogy_predictor` answer them block by block.
+    """
+    answerable = [q for q in questions if all(t in vocab for t in (q.a, q.b, q.c, q.d))]
+    answers = (
+        predict([q.a for q in answerable], [q.b for q in answerable], [q.c for q in answerable])
+        if answerable else []
+    )
     rows: dict[str, RelationAccuracy] = {}
-    skipped = 0
-    for q in questions:
-        toks = (q.a, q.b, q.c, q.d)
-        if any(t not in vocab for t in toks):
-            skipped += 1
-            continue
+    for q, got in zip(answerable, answers):
         row = rows.setdefault(q.relation, RelationAccuracy(q.relation))
         row.answered += 1
-        if predict(q.a, q.b, q.c) == q.d:
+        if got == q.d:
             row.correct += 1
-    return EvalReport(relation_rows=list(rows.values()), skipped=skipped)
+    return EvalReport(relation_rows=list(rows.values()), skipped=len(questions) - len(answerable))
 
 
 # ---------------------------------------------------------------------------

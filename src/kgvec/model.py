@@ -75,6 +75,7 @@ class ModelConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
+            setattr(self, name, int(value))  # a numpy integer is not JSON
         if self.dim < 1:
             raise ConfigError("dim must be >= 1")
         if self.variant == "lowrank" and not (
@@ -563,7 +564,10 @@ def save_embeddings_text(
     n, d = vectors.shape
     if n != len(tokens):
         raise ValueError("token/vector count mismatch")
+    # %-formatting a row's Python floats gives the bytes of f"{x:.6g}" per
+    # coordinate, in one call per row.
+    fmt = " ".join(["%.6g"] * d)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{n} {d}\n")
         for tok, row in zip(tokens, vectors):
-            fh.write(tok + " " + " ".join(f"{x:.6g}" for x in row) + "\n")
+            fh.write(tok + " " + fmt % tuple(row.tolist()) + "\n")

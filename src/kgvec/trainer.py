@@ -76,6 +76,7 @@ class TrainConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
+            setattr(self, name, int(value))  # a numpy integer is not JSON
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
         if self.window < 1:
@@ -215,9 +216,11 @@ def train(
                 f"vocabulary does not cover {len(missing)} triple entities "
                 f"(first: {missing[0]!r})"
             )
+    # Only knowledge steps read entity rows, so at alpha 0 the vocabulary
+    # need not cover the triples.
     entity_rows = (
         np.asarray([vocab.index[n] for n in triples.entity_names], dtype=np.int64)
-        if triples is not None and len(triples)
+        if use_kg
         else np.empty(0, dtype=np.int64)
     )
 

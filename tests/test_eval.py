@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import kgvec.evaluation
 from kgvec.corpus import Vocabulary
 from kgvec.errors import ParseError, UndefinedCorrelationError
 from kgvec.evaluation import (
@@ -436,12 +437,119 @@ class TestAnalogySuite:
             AnalogyQuestion("c", "d", "e", "a", "r2"),  # right
         ]
         report = run_analogy_suite(
-            questions, lambda a, b, c: answers[(a, b, c)], vocab
+            questions, lambda a, b, c: [answers[q] for q in zip(a, b, c)], vocab
         )
         by_rel = {r.relation: r for r in report.relation_rows}
         assert by_rel["r1"].correct == 1 and by_rel["r1"].answered == 2
         assert by_rel["r2"].correct == 1
         assert report.total_accuracy == pytest.approx(2 / 3)
+
+
+def direct_cosines(vocab, vectors, a, b, c):
+    """Every candidate's 3CosAdd cosine by a plain per-row scan."""
+    ia, ib, ic = vocab.index[a], vocab.index[b], vocab.index[c]
+    target = vectors[ib] - vectors[ia] + vectors[ic]
+    sims = np.array([v @ target / (np.linalg.norm(v) * np.linalg.norm(target)) for v in vectors])
+    sims[[ia, ib, ic]] = -np.inf
+    return sims
+
+
+def random_questions(rng, words, n):
+    return [tuple(words[i] for i in rng.choice(len(words), size=3, replace=False))
+            for _ in range(n)]
+
+
+class TestSuiteBlocks:
+    """Suites answered in blocks of questions and row tiles, against one
+    question at a time and against direct scans.  A small ``_BLOCK_BYTES``
+    makes every suite span several blocks on both axes."""
+
+    @pytest.fixture
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(kgvec.evaluation, "_BLOCK_BYTES", 2048)
+
+    def test_3cosadd_blocks_match_one_by_one(self, small_blocks):
+        rng = np.random.default_rng(41)
+        words = [f"w{i:03d}" for i in range(120)]
+        vocab = make_vocab(words)
+        vectors = rng.standard_normal((120, 8))  # blocks of 32 questions, tiles of 8 rows
+        questions = random_questions(rng, words, 150)
+        single = [analogy_3cosadd(a, b, c, vocab, vectors) for a, b, c in questions]
+        block = analogy_3cosadd(*zip(*questions), vocab, vectors)
+        assert len(block) == len(questions)
+        for (a, b, c), got, one in zip(questions, block, single):
+            sims = direct_cosines(vocab, vectors, a, b, c)
+            best = sims.max()
+            assert got == one or abs(sims[vocab.index[got]] - sims[vocab.index[one]]) <= 1e-12
+            assert abs(sims[vocab.index[got]] - best) <= 1e-12
+
+    @pytest.mark.parametrize("variant", ["lowrank", "transh"])
+    def test_relational_blocks_match_one_by_one(self, small_blocks, variant):
+        rng = np.random.default_rng(42)
+        # 4 relations at d=16: search chunks of 4 pairs; blocks of 16
+        # questions; row tiles of 16 rows or more over 90 candidates
+        state = random_relational_state(rng, variant, n_words=90, n_rel=4)
+        questions = random_questions(rng, state.vocab.tokens, 150)
+        questions += questions[:20]  # repeated pairs come from the memo
+        one_by_one = RelationalAnalogy(state)
+        single = [one_by_one(a, b, c) for a, b, c in questions]
+        block = RelationalAnalogy(state)(*zip(*questions))
+        index = state.vocab.index
+        for (a, b, c), got, one in zip(questions, block, single):
+            want, scores = direct_relational_scan(state, a, b, c)
+            best = scores[index[want]]
+            for answer in (got, one):
+                assert abs(scores[index[answer]] - best) <= 1e-9 * max(1.0, best)
+
+    def test_3cosadd_tie_across_row_tiles_breaks_toward_lowest_index(self, small_blocks):
+        rng = np.random.default_rng(43)
+        words = [f"w{i:03d}" for i in range(120)]
+        vocab = make_vocab(words)
+        vectors = rng.standard_normal((120, 8))
+        vectors[17] = vectors[119] = vectors[1] - vectors[0] + vectors[2]
+        questions = [("w000", "w001", "w002")] + random_questions(rng, words[20:110], 40)
+        assert analogy_3cosadd(*zip(*questions), vocab, vectors)[0] == "w017"
+        assert analogy_3cosadd("w000", "w001", "w002", vocab, vectors) == "w017"
+
+    def test_relational_tie_across_row_tiles_breaks_toward_lowest_index(self, small_blocks):
+        rng = np.random.default_rng(44)
+        words = [f"w{i:03d}" for i in range(120)]
+        vectors = rng.standard_normal((120, 2))
+        r = vectors[1] - vectors[0]
+        vectors[17] = vectors[118] = vectors[2] + r
+        params = [LowRankRelation(identity_projection(2), identity_projection(2))]
+        state = make_state(make_vocab(words), vectors, r[None, :], params)
+        questions = [("w000", "w001", "w002")] + random_questions(rng, words[20:110], 40)
+        assert RelationalAnalogy(state)(*zip(*questions))[0] == "w017"
+        assert RelationalAnalogy(state)("w000", "w001", "w002") == "w017"
+
+    @pytest.mark.parametrize("mode", ["relational", "3cosadd"])
+    def test_suite_sends_answerable_questions_in_one_call(self, mode):
+        state = random_relational_state(np.random.default_rng(45), "lowrank")
+        predict = make_analogy_predictor(state, mode)
+        calls = []
+
+        def record(a, b, c):
+            calls.append((list(a), list(b), list(c)))
+            return predict(a, b, c)
+
+        questions = [
+            AnalogyQuestion("w00", "w01", "w02", "w03", "r1"),
+            AnalogyQuestion("w04", "oov", "w05", "w06", "r1"),
+            AnalogyQuestion("w07", "w08", "w09", "w10", "r2"),
+            AnalogyQuestion("w11", "w12", "w13", "missing", "r2"),
+        ]
+        report = run_analogy_suite(questions, record, state.vocab)
+        assert calls == [(["w00", "w07"], ["w01", "w08"], ["w02", "w09"])]
+        assert report.skipped == 2 and report.total_answered == 2
+        assert run_analogy_suite(questions[1::2], record, state.vocab).skipped == 2
+        assert run_analogy_suite([], record, state.vocab).total_answered == 0
+        assert len(calls) == 1
+
+    def test_empty_token_lists_answer_nothing(self):
+        state = random_relational_state(np.random.default_rng(46), "lowrank")
+        assert RelationalAnalogy(state)([], [], []) == []
+        assert analogy_3cosadd([], [], [], state.vocab, state.store.input_vectors) == []
 
 
 def oracle_ranks(values):

@@ -471,3 +471,19 @@ class TestEmbeddingExport:
     def test_count_mismatch(self, tmp_path):
         with pytest.raises(ValueError):
             save_embeddings_text(["a"], np.zeros((2, 2)), tmp_path / "x.txt")
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_bytes_match_formatting_each_coordinate(self, tmp_path, dtype):
+        # signed zero, the smallest subnormal, a huge value and values at the
+        # 6-digit rounding edge, beside ordinary ones
+        edges = [-0.0, 5e-324, 1e300, 0.9999995, 1.2345650000000001, -123456.5]
+        with np.errstate(over="ignore"):  # 1e300 is inf in float32
+            vectors = np.vstack([edges, np.random.default_rng(8).standard_normal((3, 6))]).astype(dtype)
+        tokens = ["edge", "a", "b_c", "d"]
+        path = tmp_path / "vectors.txt"
+        save_embeddings_text(tokens, vectors, path)
+        want = "4 6\n" + "".join(
+            tok + " " + " ".join(f"{x:.6g}" for x in row) + "\n"
+            for tok, row in zip(tokens, vectors)
+        )
+        assert path.read_bytes() == want.encode("utf-8")

@@ -152,6 +152,23 @@ class TestDegenerateMixes:
         with pytest.raises(ConfigError):
             train(tokens, vocab, None, mc, TrainConfig(alpha=0.5))
 
+    def test_alpha_zero_needs_no_entity_rows(self):
+        tokens, vocab, triples = translation_fixture(seed=0)
+        keep = [t for t in vocab.tokens if t != "src00"]
+        partial = Vocabulary(keep, vocab.counts[[vocab.index[t] for t in keep]])
+        mc = small_model()
+        tc = TrainConfig(alpha=0.0, epochs=1, seed=5, window=2)
+        state, report = train(tokens, partial, triples, mc, tc)
+        start = init_state(partial, triples.relation_names, mc, tc)
+        assert sum(r.text_steps for r in report.rows) > 0
+        assert same_bits(state.store.relation_vectors, start.store.relation_vectors)
+        for trained, initial in zip(state.params, start.params, strict=True):
+            assert all(
+                same_bits(a, b) for a, b in zip(trained.arrays().values(), initial.arrays().values())
+            )
+        with pytest.raises(ConfigError, match="does not cover 1 triple entities"):
+            train(tokens, partial, triples, mc, TrainConfig(alpha=0.5, epochs=1, seed=5, window=2))
+
     def test_vocab_must_cover_entities(self, world):
         tokens, _, triples = world
         tiny = Vocabulary(["only", "these"], np.array([1, 1]))
@@ -370,6 +387,23 @@ class TestCheckpoint:
         assert loaded.relation_names == state.relation_names
         assert loaded.model_config == state.model_config
         assert loaded.train_config == state.train_config
+
+    def test_numpy_integer_config_saves_and_loads(self, world, tmp_path):
+        _, vocab, triples = world
+        mc = ModelConfig(dim=np.int64(4), head_rank=2, tail_rank=2)
+        tc = TrainConfig(epochs=np.int64(2), window=np.int32(3), seed=np.uint8(7))
+        assert type(mc.dim) is int and type(tc.epochs) is int
+        assert all(type(getattr(mc, f)) is int for f in ("head_rank", "tail_rank", "negatives"))
+        assert type(tc.window) is int and type(tc.seed) is int
+        state = init_state(vocab, triples.relation_names, mc, tc)
+        path = tmp_path / "model.kgv"
+        save_checkpoint(state, path)
+        loaded = load_checkpoint(path)
+        assert loaded.model_config == mc and loaded.train_config == tc
+        assert same_bits(loaded.store.input_vectors, state.store.input_vectors)
+        assert same_bits(loaded.store.relation_vectors, state.store.relation_vectors)
+        for p1, p2 in zip(loaded.params, state.params, strict=True):
+            assert all(same_bits(a, b) for a, b in zip(p1.arrays().values(), p2.arrays().values()))
 
     def test_file_is_header_then_name_major_stacks(self, world, tmp_path):
         _, vocab, _ = world

@@ -230,9 +230,11 @@ def _analogy_digests(root: Path) -> None:
             answers = []
             predict = make_analogy_predictor(state, mode)
 
-            def record(a: str, b: str, c: str) -> str:
-                answers.append(predict(a, b, c))
-                return answers[-1]
+            def record(a, b, c):
+                # one question's tokens or, where the suite scores blocks, token lists
+                got = predict(a, b, c)
+                answers.extend([got] if isinstance(got, str) else got)
+                return got
 
             report = run_analogy_suite(questions, record, state.vocab)
             sha = hashlib.sha256("\n".join(answers).encode("utf-8")).hexdigest()
