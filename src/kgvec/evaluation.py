@@ -167,6 +167,18 @@ def _span(width: int) -> int:
     return max(1, _BLOCK_BYTES // (8 * width))
 
 
+def _row_tiles(reduce: Callable, table: np.ndarray) -> np.ndarray:
+    """``reduce`` of each row tile of ``_span(d)`` rows of ``table``, joined
+    in row order; an empty table is one empty tile."""
+    step = _span(table.shape[1])
+    return np.concatenate([reduce(table[lo:lo + step]) for lo in range(0, max(len(table), 1), step)])
+
+
+def _row_norms(vectors: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(vectors, axis=1)``, bitwise, by row tiles."""
+    return _row_tiles(lambda tile: np.linalg.norm(tile, axis=1), vectors)
+
+
 def _rows(vocab: Vocabulary, *columns: Sequence[str]) -> np.ndarray:
     """Vocabulary rows of the questions' tokens, ``(n, len(columns))``."""
     return np.array([[vocab.index[t] for t in col] for col in columns], dtype=np.intp).T
@@ -217,7 +229,7 @@ def analogy_3cosadd(
     if isinstance(a, str):
         return analogy_3cosadd([a], [b], [c], vocab, vectors, row_norms)[0]
     if row_norms is None:
-        row_norms = np.linalg.norm(vectors, axis=1)
+        row_norms = _row_norms(vectors)
     rows = _rows(vocab, a, b, c)
     step = _span(vectors.shape[1])
     answers: list[str] = []
@@ -243,15 +255,16 @@ class RelationalAnalogy:
     sequences, like :func:`analogy_3cosadd`.  The dense head and tail maps
     are stacked into two ``(R, d, d)`` arrays, so picking r* for a chunk of
     distinct (a, b) pairs is one product per stack, memoised per pair.
-    Each relation's projected candidates ``P`` and their squared row norms
-    are computed on first use and cached.  Since
-    ``|P_w - t|^2 = |P_w|^2 - 2 P_w . t + |t|^2`` and ``|t|^2`` is the same
-    for every candidate, the questions of a block that share r* are ranked
-    together by ``2 P_w . t - |P_w|^2``, one product per row tile of ``P``.
-    Batched sums can round differently from a relation-by-relation or
-    direct difference scan, so answers may differ only where two relations'
-    fits or two candidates' scores tie within rounding.  Every cache lives
-    as long as the predictor: build a new one after the vectors change.
+    Since ``|B w - t|^2 = |B w|^2 - 2 w . (B^T t) + |t|^2`` and ``|t|^2`` is
+    the same for every candidate w, the questions of a block that share r*
+    are ranked together by ``2 w . (B^T t) - |B w|^2``: one product
+    ``targets @ B`` per group, then one product per row tile of the table.
+    The only per-relation cache is the vector ``|B w|^2`` of |V| floats,
+    computed by row tiles the first time r* is picked.  Batched sums can
+    round differently from a relation-by-relation or direct difference
+    scan, so answers may differ only where two relations' fits or two
+    candidates' scores tie within rounding.  Every cache lives as long as
+    the predictor: build a new one after the vectors change.
     Only states whose relation bundles have dense head and tail maps
     qualify; construct via :func:`make_analogy_predictor` to get the
     fallback logic.
@@ -269,15 +282,18 @@ class RelationalAnalogy:
         self.head_maps, self.tail_maps = np.empty(shape), np.empty(shape)
         for r, p in enumerate(state.params):
             self.head_maps[r], self.tail_maps[r] = p.dense_maps()
-        self._projected: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._tail_norms: dict[int, np.ndarray] = {}
         self._best: dict[tuple[str, str], int] = {}
 
-    def _projected_tails(self, r: int) -> tuple[np.ndarray, np.ndarray]:
-        """Relation ``r``'s projected candidates and their squared norms."""
-        if r not in self._projected:
-            tails = self.vectors @ self.tail_maps[r].T
-            self._projected[r] = (tails, np.einsum("ij,ij->i", tails, tails))
-        return self._projected[r]
+    def _tail_norm(self, r: int) -> np.ndarray:
+        """``|B w|^2`` of every candidate w under relation ``r``'s tail map."""
+        if r not in self._tail_norms:
+            def reduce(tile):
+                tails = tile @ self.tail_maps[r].T
+                return np.einsum("ij,ij->i", tails, tails)
+
+            self._tail_norms[r] = _row_tiles(reduce, self.vectors)
+        return self._tail_norms[r]
 
     def _search(self, pairs: Sequence[tuple[str, str]]) -> None:
         """Memoise each (a, b) pair's best relation: for a chunk of pairs,
@@ -318,15 +334,15 @@ class RelationalAnalogy:
             for r, group in groups.items():
                 targets = self.vectors[rows[group, 2]] @ self.head_maps[r].T
                 targets += self.relation_vectors[r]
-                tails, sq_norms = self._projected_tails(r)
+                pulled, sq_norms = targets @ self.tail_maps[r], self._tail_norm(r)
 
                 def scores(lo, hi):
-                    s = tails[lo:hi] @ targets.T
+                    s = self.vectors[lo:hi] @ pulled.T
                     s *= 2.0
                     s -= sq_norms[lo:hi, None]
                     return s
 
-                best[group] = _best_rows(scores, len(tails), rows[group])
+                best[group] = _best_rows(scores, len(self.vectors), rows[group])
         return [self.vocab.tokens[i] for i in best]
 
 
@@ -348,7 +364,7 @@ def make_analogy_predictor(
     if mode == "relational" and _has_dense_maps(state):
         return RelationalAnalogy(state)
     vocab, vectors = state.vocab, state.store.input_vectors
-    row_norms = np.linalg.norm(vectors, axis=1)
+    row_norms = _row_norms(vectors)
 
     def predict(a, b, c):
         return analogy_3cosadd(a, b, c, vocab, vectors, row_norms)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -136,11 +138,8 @@ class TestAnalogy3CosAdd:
             assert analogy_3cosadd("w0", "w1", "w2", vocab, vectors) == winner
 
 
-def direct_relational_scan(state, a, b, c):
-    """The two-step answer by a plain difference scan over every candidate,
-    and every candidate's score."""
-    index, vectors = state.vocab.index, state.store.input_vectors
-    ia, ib, ic = index[a], index[b], index[c]
+def direct_maps(state):
+    """Each relation's (head, tail) maps, built from its own parameters."""
     maps = []
     for p in state.params:
         if state.model_config.variant == "lowrank":
@@ -148,6 +147,15 @@ def direct_relational_scan(state, a, b, c):
         else:
             plane = np.eye(len(p.normal)) - np.outer(p.normal, p.normal)
             maps.append((plane, plane))
+    return maps
+
+
+def direct_relational_scan(state, a, b, c):
+    """The two-step answer by a plain difference scan over every candidate,
+    and every candidate's score."""
+    index, vectors = state.vocab.index, state.store.input_vectors
+    ia, ib, ic = index[a], index[b], index[c]
+    maps = direct_maps(state)
     fits = []
     for (head, tail), rel in zip(maps, state.store.relation_vectors):
         e = head @ vectors[ia] + rel - tail @ vectors[ib]
@@ -550,6 +558,65 @@ class TestSuiteBlocks:
         state = random_relational_state(np.random.default_rng(46), "lowrank")
         assert RelationalAnalogy(state)([], [], []) == []
         assert analogy_3cosadd([], [], [], state.vocab, state.store.input_vectors) == []
+
+
+class TestTiledNorms:
+    """Row norms and the relational predictor's norm vectors, computed by row
+    tiles so that no whole-table temporary is built."""
+
+    @pytest.fixture
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(kgvec.evaluation, "_BLOCK_BYTES", 2048)
+
+    @pytest.mark.parametrize("shape", [(300, 8), (7, 3), (1, 300), (0, 4)])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_row_norms_equal_whole_table_norms_bitwise(self, small_blocks, shape, dtype):
+        # (300, 8) spans 10 tiles of 32 rows; a row of 300 outgrows the block,
+        # so its tiles are single rows
+        vectors = np.random.default_rng(51).standard_normal(shape).astype(dtype)
+        got, want = kgvec.evaluation._row_norms(vectors), np.linalg.norm(vectors, axis=1)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("variant", ["lowrank", "transh"])
+    def test_cached_tail_norms_match_direct_products(self, small_blocks, variant):
+        rng = np.random.default_rng(52)
+        # d=16: tiles of 16 rows over 90 candidates
+        state = random_relational_state(rng, variant, n_words=90, n_rel=4)
+        predictor = RelationalAnalogy(state)
+        predictor(*zip(*random_questions(rng, state.vocab.tokens, 60)))
+        assert len(predictor._tail_norms) > 1
+        maps = direct_maps(state)
+        for r, norms in predictor._tail_norms.items():
+            want = np.array([np.sum((maps[r][1] @ w) ** 2) for w in state.store.input_vectors])
+            np.testing.assert_allclose(norms, want, rtol=1e-12, atol=0)
+
+    def test_relational_suite_memory_is_bounded(self, monkeypatch):
+        block = 1 << 16
+        monkeypatch.setattr(kgvec.evaluation, "_BLOCK_BYTES", block)
+        rng = np.random.default_rng(53)
+        # a 3000 x 32 table is 11.7 blocks; caching it projected once per
+        # picked relation would pass the bound at the first relation
+        state = random_relational_state(rng, "lowrank", n_words=3000, n_rel=8, d=32)
+        words = state.vocab.tokens
+        questions = [AnalogyQuestion(*(words[i] for i in rng.choice(len(words), 4, replace=False)))
+                     for _ in range(200)]
+        tracemalloc.start()
+        try:
+            predictor = RelationalAnalogy(state)
+            run_analogy_suite(questions, predictor, state.vocab)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n_words, d = state.store.input_vectors.shape
+        picked = len(predictor._tail_norms)
+        assert picked > 1
+        stacks = predictor.head_maps.nbytes + predictor.tail_maps.nbytes
+        # 4 blocks of temporaries, and one more norm vector while one is joined
+        assert peak < 4 * block + (picked + 1) * 8 * n_words + stacks
+        assert predictor.vectors is state.store.input_vectors
+        held = [v for k, v in vars(predictor).items() if k != "vectors"]
+        held += [x for v in held if isinstance(v, dict) for x in v.values()]
+        assert all(np.size(v) < n_words * d for v in held if isinstance(v, np.ndarray))
 
 
 def oracle_ranks(values):

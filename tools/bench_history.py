@@ -8,7 +8,8 @@ parent's median, the change's median and the pairs the change won.  The
 records' layouts differ; two are read:
 
 * ``summary[workload][metric]`` holding ``parent_median``,
-  ``change_median``, ``change_wins`` and ``pairs``;
+  ``change_median``, ``change_wins`` and ``pairs``, the layout that
+  ``tools/bench_pairs.py`` writes;
 * ``summary[workload][metric]`` holding ``parent_q1_median_q3``,
   ``change_q1_median_q3`` and ``change_wins``, with ``pairs`` beside the
   metrics.
