@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import mmap
 import numbers
 import os
 import struct
@@ -49,6 +50,10 @@ BLOCK = 256
 
 CHECKPOINT_MAGIC = b"KGVECBIN"
 CHECKPOINT_VERSION = 3
+# The header is padded so that the arrays start at a file offset that is a
+# multiple of this.  Loaded arrays are views of a page-aligned map of the
+# file, so they are aligned in memory too.
+CHECKPOINT_ALIGN = 64
 
 
 @dataclass
@@ -447,6 +452,9 @@ def save_checkpoint(state: ModelState, path: str | Path) -> None:
         "relations": state.relation_names,
     }
     blob = json.dumps(header).encode("utf-8")
+    # Trailing spaces keep the blob valid JSON and align the arrays, which
+    # numpy would otherwise copy into aligned buffers before each matmul.
+    blob += b" " * (-(len(CHECKPOINT_MAGIC) + 8 + len(blob)) % CHECKPOINT_ALIGN)
     arrays_size = sum(a.nbytes for parts in blocks for a in parts)
     size = len(CHECKPOINT_MAGIC) + 8 + len(blob) + arrays_size
     path = Path(path)
@@ -471,8 +479,8 @@ def save_checkpoint(state: ModelState, path: str | Path) -> None:
 
 
 def _raw_bytes(a: np.ndarray) -> np.ndarray:
-    """A flat byte view of C-contiguous ``a``, for writing or reading its
-    buffer in place; unlike ``memoryview(a).cast("B")`` it works at size 0."""
+    """A flat byte view of C-contiguous ``a``, for writing its buffer in
+    place; unlike ``memoryview(a).cast("B")`` it works at size 0."""
     return a.reshape(-1).view(np.uint8)
 
 
@@ -512,8 +520,13 @@ def load_checkpoint(path: str | Path) -> ModelState:
 
     The header's configs, vocabulary and relation names fix the shape and
     dtype of every array, so the file must hold exactly their bytes after
-    the header; this is checked before any array is allocated.  Every array
+    the header; this is checked before the file is mapped.  Every array
     must hold only finite values.
+
+    The arrays are views of one copy-on-write map of the file.  A save to
+    the same path replaces the file and leaves them as they were; a tool
+    that rewrites the file in place can change them, or end the process
+    with SIGBUS if it shrinks the file.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -555,27 +568,35 @@ def load_checkpoint(path: str | Path) -> ModelState:
         layout = _checkpoint_layout(
             model_config, train_config, len(vocab), len(relation_names)
         )
+        offset = fh.tell()
         implied = sum(math.prod(shape) * dtype.itemsize for _, shape, dtype in layout)
-        if implied != size - fh.tell():
+        if implied != size - offset:
             raise CheckpointError(
                 f"{path}: the header implies {implied} bytes of arrays, "
-                f"the file holds {size - fh.tell()}"
+                f"the file holds {size - offset}"
             )
-        arrays: dict[str, np.ndarray] = {}
-        for name, shape, dtype in layout:
-            a = np.empty(shape, dtype=dtype)
-            if fh.readinto(_raw_bytes(a)) != a.nbytes:
-                raise CheckpointError(f"{path}: truncated checkpoint (array {name})")
-            # Checked while its bytes are still in cache.
-            if not all_finite(a):
-                where = ""
-                if name.startswith("rel."):
-                    i = next(i for i, part in enumerate(a) if not all_finite(part))
-                    where = f" in relation {i}"
-                raise CheckpointError(
-                    f"{path}: checkpoint array {name!r} holds NaN or inf{where}"
-                )
-            arrays[name] = a
+        # Copy-on-write: the arrays are writable, a write stays in this
+        # process, and the page cache supplies the bytes without a copy.
+        buffer = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
+    if len(buffer) != size:
+        raise CheckpointError(
+            f"{path}: the file changed size while loading ({size} bytes, "
+            f"then {len(buffer)})"
+        )
+    arrays: dict[str, np.ndarray] = {}
+    for name, shape, dtype in layout:
+        a = np.ndarray(shape, dtype, buffer=buffer, offset=offset)
+        offset += a.nbytes
+        # This pass is the one that pages the array in.
+        if not all_finite(a):
+            where = ""
+            if name.startswith("rel."):
+                i = next(i for i, part in enumerate(a) if not all_finite(part))
+                where = f" in relation {i}"
+            raise CheckpointError(
+                f"{path}: checkpoint array {name!r} holds NaN or inf{where}"
+            )
+        arrays[name] = a
 
     store = EmbeddingStore(arrays["input"], arrays["output"], arrays["relations"])
     params = relation_params_from_arrays(

@@ -22,7 +22,7 @@ with open(tree.parent / "order.log", "a") as log:
 i = (seed - 1) % 4
 rss = {"parent": [101, 102, 103, 104], "change": [81, 82, 200, 84]}[side][i]
 qps = {"parent": [10, 10, 10, 10], "change": [12, 10, 9, 13]}[side][i]
-loss = 0.25 if args.workload == "x" and side == "change" else 0.5
+loss = 0.75 if args.workload == "x" and side == "change" else 0.5
 failed = int(args.workload == "x" and side == "change" and seed == 2)
 print("a human-readable line")
 print(json.dumps({"correct": not failed, "attempted": 5, "failed": failed, "metrics": {
@@ -46,7 +46,7 @@ def test_pairs_alternate_and_summary_holds_medians_quartiles_wins_and_claims(tmp
          "--claim", "w:peak_rss_mb:3", "--claim", "w:peak_rss_mb:4", "--trace1", "--out", str(out)],
         capture_output=True, text=True,
     )
-    assert proc.returncode == 1  # a failed run and an unmet claim
+    assert proc.returncode == 1  # a failed run, a regression and an unmet claim
     order = (tmp_path / "order.log").read_text().split("\n")[:-1]
     pairs = ["1 parent", "1 change", "2 change", "2 parent", "3 parent", "3 change",
              "4 change", "4 parent"]
@@ -69,13 +69,30 @@ def test_pairs_alternate_and_summary_holds_medians_quartiles_wins_and_claims(tmp
     assert record["summary"]["x"]["failed"] == {"parent": 0, "change": 1}
     assert record["summary"]["x"]["failed_runs"] == {"parent": 0, "change": 1}
     assert [c["met"] for c in record["claims"]] == [True, False]
+    # Only x's final_loss is worse than its 5% bound; w's medians are better.
+    loss = record["summary"]["x"]["final_loss"]
+    assert (loss["change_worse_by"], loss["bound"], loss["exceeds_bound"]) == (0.5, 0.05, True)
+    assert record["summary"]["w"]["final_loss"]["exceeds_bound"] is False
+    assert record["regressions"] == [
+        {"workload": "x", "metric": "final_loss", "worse_by": 0.5, "bound": 0.05}]
     assert len(record["runs"]) == 16 and set(record["trace1"]["runs"]) == {
         "w/parent", "w/change", "x/parent", "x/change"}
 
     lines = proc.stdout.splitlines()
     assert lines[0].startswith("claim w peak_rss_mb: change won 3/4 pairs (need 3)")
     assert lines[0].endswith(": met") and lines[1].endswith(": not met")
-    assert lines[2] == "failed run: x seed 2 change rc 1"
+    assert lines[2] == "regression x final_loss: worse by 50.0% (bound 5%)"
+    assert lines[3] == "failed run: x seed 2 change rc 1"
+
+    # One pair of x has no failed run and no claim: the regression alone fails.
+    alone = subprocess.run(
+        [sys.executable, str(TOOLS / "bench_pairs.py"), str(tmp_path / "parent"),
+         str(tmp_path / "change"), "--workloads", "x", "--pairs", "1", "--seconds", "1",
+         "--out", str(tmp_path / "BENCH_x.json")],
+        capture_output=True, text=True,
+    )
+    assert alone.returncode == 1
+    assert alone.stdout.splitlines() == ["regression x final_loss: worse by 50.0% (bound 5%)"]
 
     history = subprocess.run([sys.executable, str(TOOLS / "bench_history.py"), str(out)],
                              capture_output=True, text=True)

@@ -1,6 +1,8 @@
 import json
 import re
 import struct
+import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -336,6 +338,22 @@ def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def file_order_arrays(state):
+    """The arrays of a checkpoint of ``state``, in file order."""
+    store, views = state.store, [p.arrays() for p in state.params]
+    arrays = [store.input_vectors, store.output_vectors, store.relation_vectors]
+    return arrays + [np.stack([v[name] for v in views]) for name in views[0]]
+
+
+def header_of(state):
+    return {
+        "model": asdict(state.model_config),
+        "train": asdict(state.train_config),
+        "vocab": {"tokens": state.vocab.tokens, "counts": state.vocab.counts.tolist()},
+        "relations": state.relation_names,
+    }
+
+
 class TestTextOnly:
     def test_triples_leave_an_alpha_zero_run_unchanged(self, world):
         tokens, vocab, triples = world
@@ -418,10 +436,8 @@ class TestCheckpoint:
         header = json.loads(data[start : start + size])
         assert sorted(header) == ["model", "relations", "train", "vocab"]
         assert header["vocab"] == {"tokens": vocab.tokens, "counts": vocab.counts.tolist()}
-        store, views = state.store, [p.arrays() for p in state.params]
-        want = [store.input_vectors, store.output_vectors, store.relation_vectors]
-        assert all(a.dtype == np.float32 for a in want)
-        want += [np.stack([v[name] for v in views]) for name in views[0]]
+        want = file_order_arrays(state)
+        assert all(a.dtype == np.float32 for a in want[:3])
         assert all(a.dtype == np.float64 for a in want[3:])
         assert data[start + size :] == b"".join(a.tobytes() for a in want)
 
@@ -435,6 +451,92 @@ class TestCheckpoint:
             CheckpointError,
             match=re.escape("array 'rel.tail.in' holds NaN or inf in relation 2"),
         ):
+            load_checkpoint(path)
+
+    def test_saving_over_the_loaded_file_leaves_the_loaded_state_as_it_was(
+        self, world, tmp_path
+    ):
+        _, vocab, _ = world
+        path = tmp_path / "model.kgv"
+        save_checkpoint(init_state(vocab, ["a", "b"], small_model(), TrainConfig(seed=1)), path)
+        data = path.read_bytes()
+        loaded = load_checkpoint(path)
+        # A write to a loaded array stays in this process's copy.
+        loaded.store.input_vectors[0, 0] += 1.0
+        assert path.read_bytes() == data
+        snapshot = [a.copy() for a in file_order_arrays(loaded)]
+        other = init_state(vocab, ["a", "b"], small_model(), TrainConfig(seed=2))
+        save_checkpoint(other, path)
+        assert all(map(same_bits, file_order_arrays(loaded), snapshot))
+        assert all(map(same_bits, file_order_arrays(load_checkpoint(path)),
+                       file_order_arrays(other)))
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("use_float32", [False, True], ids=["f8", "f4"])
+    def test_header_is_padded_json_and_arrays_load_aligned(
+        self, world, tmp_path, variant, use_float32
+    ):
+        _, vocab, _ = world
+        # At d=16 and R=4 every array's size is a multiple of 64 bytes, so
+        # each one starts on a 64-byte file offset, not only the first.
+        tc = TrainConfig(use_float32=use_float32)
+        state = init_state(vocab, ["a", "b", "c", "d"], small_model(variant), tc)
+        path = tmp_path / "model.kgv"
+        save_checkpoint(state, path)
+        data = path.read_bytes()
+        start = len(CHECKPOINT_MAGIC) + 8
+        (size,) = struct.unpack_from("<I", data, start - 4)
+        assert (start + size) % 64 == 0
+        assert json.loads(data[start : start + size]) == header_of(state)
+        loaded = load_checkpoint(path)
+        assert all(a.ctypes.data % 64 == 0 for a in file_order_arrays(loaded)[:3])
+        assert all(a.ctypes.data % 64 == 0 for a in loaded.params[0].arrays().values())
+
+    def test_unpadded_version_3_file_loads_bitwise(self, world, tmp_path):
+        _, vocab, _ = world
+        for names in (["a", "b", "c"], ["a", "b", "cc"]):
+            state = init_state(vocab, names, small_model(), TrainConfig())
+            blob = json.dumps(header_of(state)).encode("utf-8")
+            # One of the two lengths leaves the float64 arrays unaligned.
+            if (len(CHECKPOINT_MAGIC) + 8 + len(blob)) % 8:
+                break
+        path = tmp_path / "unpadded.kgv"
+        path.write_bytes(
+            CHECKPOINT_MAGIC + struct.pack("<II", 3, len(blob)) + blob
+            + b"".join(a.tobytes() for a in file_order_arrays(state))
+        )
+        loaded = load_checkpoint(path)
+        assert not loaded.store.input_vectors.flags.aligned
+        assert all(map(same_bits, file_order_arrays(loaded), file_order_arrays(state)))
+        assert loaded.relation_names == state.relation_names
+
+    def test_load_maps_instead_of_allocating(self, tmp_path):
+        vocab = Vocabulary([f"w{i}" for i in range(5000)], np.ones(5000, dtype=np.int64))
+        mc = ModelConfig(variant="transe", dim=128)
+        state = init_state(vocab, ["r"], mc, TrainConfig())
+        nbytes = sum(a.nbytes for a in file_order_arrays(state))
+        assert nbytes >= 8 << 20
+        path = tmp_path / "model.kgv"
+        save_checkpoint(state, path)
+        tracemalloc.start()
+        try:
+            loaded = load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < nbytes / 4
+        assert all(map(same_bits, file_order_arrays(loaded), file_order_arrays(state)))
+
+    def test_short_map_is_a_checkpoint_error(self, world, tmp_path, monkeypatch):
+        _, vocab, _ = world
+        path = tmp_path / "model.kgv"
+        save_checkpoint(init_state(vocab, ["a"], small_model(), TrainConfig()), path)
+        real = kgvec.trainer.mmap.mmap
+        short = path.stat().st_size - 64
+        monkeypatch.setattr(
+            kgvec.trainer.mmap, "mmap", lambda fd, length, access: real(fd, short, access=access)
+        )
+        with pytest.raises(CheckpointError, match="changed size while loading"):
             load_checkpoint(path)
 
     def test_wrong_magic_rejected(self, tmp_path):

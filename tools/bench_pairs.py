@@ -12,11 +12,14 @@ Each run's last stdout line is its JSON result.  The output file holds:
   checkout's ``BENCHMARK.json``: ``parent_median``, ``parent_q1``,
   ``parent_q3`` (``statistics.quantiles(n=4)`` over the parent's runs),
   ``change_median``, ``change_worse_by`` (the relative move of the median
-  toward worse), ``bound``, ``change_wins`` and ``ties`` (pairs where the
+  toward worse), ``bound``, ``exceeds_bound`` (``change_worse_by`` is more
+  than ``bound``), ``change_wins`` and ``ties`` (pairs where the
   change reads strictly better, or equal), ``pairs`` and
   ``median_gap_exceeds_parent_iqr``; beside the metrics,
   ``final_loss_bitwise_equal``, and per side the operations that ``failed``
   and the ``failed_runs`` (exit status not 0 or result not ``correct``);
+* ``regressions``: each workload and metric whose ``exceeds_bound`` holds,
+  with its ``worse_by`` and ``bound``;
 * ``claims``: for each ``--claim WORKLOAD:METRIC:K``, whether the change
   won at least K pairs and its median beat the parent's by more than the
   parent's interquartile range (``met``);
@@ -25,7 +28,8 @@ Each run's last stdout line is its JSON result.  The output file holds:
 
 The file is rewritten after every run, so an interrupted run keeps the
 pairs it finished.  ``tools/bench_history.py`` prints it.  Exit status 1
-if a run failed or a claim was not met.
+if a run failed, a metric is worse than the parent by more than its bound,
+or a claim was not met.
 
     python3 tools/bench_pairs.py ../parent . --workloads kg-variants-d100 \\
         --pairs 10 --seconds 40 --claim kg-variants-d100:peak_rss_mb:9 --out BENCH_x.json
@@ -102,10 +106,11 @@ def summarize(runs: list[dict], workload: str, spec: list[dict]) -> dict:
         q1, mid, q3 = quartiles(parent)
         new = statistics.median(change)
         gain = (mid - new) if lower else (new - mid)
+        worse, bound = (-gain / mid if mid else None), metric.get("bound")
         entry[name] = {
             "parent_median": mid, "parent_q1": q1, "parent_q3": q3, "change_median": new,
-            "change_worse_by": round(-gain / mid, 4) if mid else None,
-            "bound": metric.get("bound"),
+            "change_worse_by": None if worse is None else round(worse, 4), "bound": bound,
+            "exceeds_bound": None not in (worse, bound) and worse > bound,
             "change_wins": sum((c < p) if lower else (c > p) for p, c in both),
             "ties": sum(c == p for p, c in both), "pairs": len(both),
             "median_gap_exceeds_parent_iqr": gain > q3 - q1,
@@ -118,6 +123,14 @@ def summarize(runs: list[dict], workload: str, spec: list[dict]) -> dict:
     entry["failed"] = {side: sum(p[side]["failed"] or 0 for p in pairs) for side in sides}
     entry["failed_runs"] = {side: sum(not p[side]["correct"] for p in pairs) for side in sides}
     return entry
+
+
+def regressions(summary: dict) -> list[dict]:
+    """Each workload and metric whose change median is worse than the
+    parent's by more than the metric's bound."""
+    return [{"workload": w, "metric": m, "worse_by": r["change_worse_by"], "bound": r["bound"]}
+            for w, entry in summary.items() for m, r in entry.items()
+            if isinstance(r, dict) and r.get("exceeds_bound")]
 
 
 def claim_verdict(claim: str, summary: dict) -> dict:
@@ -161,6 +174,7 @@ def main(argv: list[str] | None = None) -> int:
 
     def save() -> None:
         record["summary"] = {w: summarize(record["runs"], w, spec) for w in args.workloads}
+        record["regressions"] = regressions(record["summary"])
         record["claims"] = [claim_verdict(c, record["summary"]) for c in args.claim]
         args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
 
@@ -189,11 +203,15 @@ def main(argv: list[str] | None = None) -> int:
               f"{c.get('pairs', 0)} pairs (need {c['k']}), median {c.get('parent_median')} -> "
               f"{c.get('change_median')}, parent IQR {c.get('parent_q1')}..{c.get('parent_q3')}: "
               f"{'met' if c['met'] else 'not met'}")
+    for r in record["regressions"]:
+        print(f"regression {r['workload']} {r['metric']}: worse by {r['worse_by']:.1%} "
+              f"(bound {r['bound']:.0%})")
     failed = [r for r in record["runs"] + list(record.get("trace1", {}).get("runs", {}).values())
               if not r["correct"]]
     for r in failed:
         print(f"failed run: {r['workload']} seed {r['seed']} {r['side']} rc {r['rc']}")
-    return 1 if failed or not all(c["met"] for c in record["claims"]) else 0
+    met = all(c["met"] for c in record["claims"])
+    return 1 if failed or record["regressions"] or not met else 0
 
 
 if __name__ == "__main__":
