@@ -128,20 +128,14 @@ def merge_phrases(tokens: Sequence[str], phrase_lexicon: PhraseIndex) -> list[st
     i = 0
     n = len(toks)
     while i < n:
-        candidates = by_first.get(toks[i])
-        merged = None
-        if candidates is not None:
-            for words in candidates:
-                k = len(words)
-                if i + k <= n and tuple(toks[i : i + k]) == words:
-                    merged = PHRASE_SEP.join(words)
-                    i += k
-                    break
-        if merged is None:
+        for words in by_first.get(toks[i], ()):
+            if tuple(toks[i : i + len(words)]) == words:
+                out.append(PHRASE_SEP.join(words))
+                i += len(words)
+                break
+        else:
             out.append(toks[i])
             i += 1
-        else:
-            out.append(merged)
     return out
 
 
@@ -288,18 +282,13 @@ def build_vocabulary(
     if total == 0:
         raise EmptyCorpusError("corpus produced no tokens")
 
-    lexicon_tokens = {PHRASE_SEP.join(words) for words in phrase_lexicon.entries}
-    kept: dict[str, int] = {}
-    for tok, cnt in counter.items():
-        if tok in lexicon_tokens:
-            continue
-        if tok.isdigit():
-            continue
-        if cnt >= min_count:
-            kept[tok] = cnt
-    for tok in lexicon_tokens:
-        cnt = counter.get(tok, 0)
-        kept[tok] = cnt if (cnt >= min_count and not tok.isdigit()) else 0
+    kept = {
+        tok: cnt
+        for tok, cnt in counter.items()
+        if cnt >= min_count and not tok.isdigit()
+    }
+    for words in phrase_lexicon.entries:
+        kept.setdefault(PHRASE_SEP.join(words), 0)
 
     order = sorted(kept, key=lambda t: (-kept[t], t))
     counts = np.asarray([kept[t] for t in order], dtype=np.int64)
@@ -338,25 +327,14 @@ def context_pair_arrays(
     its contexts from left to right.  This is the form the trainer consumes.
     """
     n = len(ids)
-    pos_chunks = []
-    ctx_chunks = []
-    off_chunks = []
-    for off in range(1, window + 1):
-        if off >= n:
-            break
-        k = np.arange(off, n)
-        # center right of context (offset -off) and left of it (+off)
-        pos_chunks += [k, k - off]
-        ctx_chunks += [ids[:-off], ids[off:]]
-        off_chunks += [np.full(n - off, -off), np.full(n - off, off)]
-    if not pos_chunks:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty.copy()
-    pos = np.concatenate(pos_chunks)
-    ctx = np.concatenate(ctx_chunks)
-    off = np.concatenate(off_chunks)
-    order = np.lexsort((off, pos))
-    return ids[pos[order]], ctx[order]
+    # A window wider than the stream adds no pair, and ``--window`` is user
+    # input: unclipped, a huge window would allocate n x 2*window offsets.
+    w = max(min(window, n - 1), 0)
+    offsets = np.concatenate((np.arange(-w, 0), np.arange(1, w + 1)))
+    positions = np.arange(n)[:, None] + offsets
+    inside = (positions >= 0) & (positions < n)
+    centers = np.broadcast_to(ids[:, None], positions.shape)[inside]
+    return centers, ids[positions[inside]]
 
 
 def _subsample_ids(

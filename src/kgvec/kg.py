@@ -69,12 +69,9 @@ def load_triples(
     Blank lines are skipped; anything else malformed raises ParseError with
     its line number.
     """
-    entity_names: list[str] = []
-    relation_names: list[str] = []
-    ent_idx: dict[str, int] = {}
-    rel_idx: dict[str, int] = {}
-    rows: list[tuple[int, int, int]] = []
-    seen: set[tuple[int, int, int]] = set()
+    entities: dict[str, int] = {}
+    relations: dict[str, int] = {}
+    rows: dict[tuple[int, int, int], None] = {}
 
     for lineno, line in read_lines(path):
         cols = line.split("\t")
@@ -87,23 +84,14 @@ def load_triples(
             head not in entity_filter or tail not in entity_filter
         ):
             continue
-        if head not in ent_idx:
-            ent_idx[head] = len(entity_names)
-            entity_names.append(head)
-        if tail not in ent_idx:
-            ent_idx[tail] = len(entity_names)
-            entity_names.append(tail)
-        if rel not in rel_idx:
-            rel_idx[rel] = len(relation_names)
-            relation_names.append(rel)
-        row = (ent_idx[head], rel_idx[rel], ent_idx[tail])
-        if row not in seen:
-            seen.add(row)
-            rows.append(row)
+        h = entities.setdefault(head, len(entities))
+        t = entities.setdefault(tail, len(entities))
+        r = relations.setdefault(rel, len(relations))
+        rows.setdefault((h, r, t))
 
     if not rows:
         raise EmptyKGError(f"{path}: no triples survived loading")
-    return TripleSet(np.asarray(rows, dtype=np.int64), entity_names, relation_names)
+    return TripleSet(np.asarray(list(rows), dtype=np.int64), list(entities), list(relations))
 
 
 @dataclass

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -142,6 +143,19 @@ class TestBuildVocabulary:
         )
         assert vocab.counts[vocab.index["rare_name"]] == 0
         assert vocab.counts[vocab.index["common"]] == 3
+
+    def test_digit_only_lexicon_entry_gets_count_zero(self):
+        """A digit-only entry is kept at count 0 even when it reaches
+        ``min_count``; an ordinary entry next to it keeps its count."""
+        vocab = build_vocabulary(
+            "1999 was new york 1999 new york",
+            min_count=2,
+            phrase_lexicon=PhraseIndex([("1999",), ("new", "york")]),
+        )
+        assert dict(zip(vocab.tokens, vocab.counts.tolist())) == {
+            "new_york": 2,
+            "1999": 0,
+        }
 
     def test_empty_corpus_raises(self):
         with pytest.raises(EmptyCorpusError):
@@ -403,6 +417,23 @@ class TestContextPairs:
         expected = list(stream_context_pairs(toks, vocab, window))
         assert centers.tolist() == [p.center for p in expected]
         assert contexts.tolist() == [p.context for p in expected]
+
+    def test_window_beyond_the_stream_is_clipped(self):
+        """A window wider than the stream gives the pairs of the widest
+        window that fits, without allocating offsets it cannot use."""
+        for n in (0, 1, 5):
+            ids = np.arange(n, dtype=np.int64)
+            tracemalloc.start()
+            try:
+                got = context_pair_arrays(ids, 10**6)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 64 * 1024, (n, peak)
+            want = context_pair_arrays(ids, max(n - 1, 1))
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype == np.int64
+                assert np.array_equal(g, w)
 
     def test_subsampling_needs_rng(self):
         vocab = self._vocab("ab")

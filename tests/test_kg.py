@@ -31,6 +31,26 @@ class TestLoadTriples:
         ts = load_triples(path)
         assert len(ts) == 1
 
+    def test_duplicate_keeps_its_first_position(self, tmp_path):
+        path = write_triples(
+            tmp_path, ["a\tr\tb", "b\ts\tc", "a\tr\tb", "c\tr\ta"]
+        )
+        ts = load_triples(path)
+        assert ts.entity_names == ["a", "b", "c"]
+        assert ts.relation_names == ["r", "s"]
+        assert ts.triples.tolist() == [[0, 0, 1], [1, 1, 2], [2, 0, 0]]
+
+    def test_names_only_on_filtered_lines_get_no_index(self, tmp_path):
+        path = write_triples(
+            tmp_path,
+            ["x\tdropped\ta", "a\tr\tb", "b\tdropped\ty", "b\ts\ta"],
+        )
+        vocab = Vocabulary(["a", "b"], np.array([1, 1]))
+        ts = load_triples(path, entity_filter=vocab)
+        assert ts.entity_names == ["a", "b"]
+        assert ts.relation_names == ["r", "s"]
+        assert ts.triples.tolist() == [[0, 0, 1], [1, 1, 0]]
+
     def test_entity_filter(self, tmp_path):
         path = write_triples(tmp_path, ["a\tr\tb", "a\tr\ta", "b\tr\tb"])
         vocab = Vocabulary(["a"], np.array([1]))
