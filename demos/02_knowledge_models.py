@@ -9,7 +9,6 @@ from kgvec import (
     ModelConfig,
     init_projection,
     score_triple,
-    transh_as_lowrank,
 )
 from kgvec.model import (
     LowRankRelation,
@@ -58,9 +57,11 @@ for variant, params in variants.items():
     print(f"  {variant:8s} {score_triple(cfg, params, h, r, t):10.4f}")
 
 # TransH is the special case with both projections equal to I - w w^T,
-# expressed as d-1 unit factors.
-left, right = transh_as_lowrank(w)
-converted = LowRankRelation(left, right)
+# expressed as d-1 unit factors: an orthonormal basis of the hyperplane
+# orthogonal to w, from the SVD of w as a column.
+basis = np.linalg.svd(w.reshape(d, 1))[0][:, 1:].T.copy()
+plane = LowRankProjection(np.ones(d - 1), basis, basis)
+converted = LowRankRelation(plane, plane)
 cfg_h = ModelConfig(variant="transh", dim=d)
 cfg_l = ModelConfig(variant="lowrank", dim=d, head_rank=d - 1, tail_rank=d - 1)
 f_h = score_triple(cfg_h, TransHRelation(w), h, r, t)

@@ -43,11 +43,7 @@ from .model import (
     score_triple,
     skipgram_ns_loss_grad,
 )
-from .projection import (
-    LowRankProjection,
-    init_projection,
-    transh_as_lowrank,
-)
+from .projection import LowRankProjection, init_projection
 from .trainer import (
     ModelState,
     TrainConfig,
@@ -96,5 +92,4 @@ __all__ = [
     "spearman_rho",
     "tokenize",
     "train",
-    "transh_as_lowrank",
 ]

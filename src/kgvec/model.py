@@ -24,7 +24,7 @@ import math
 import numbers
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -44,6 +44,16 @@ def all_finite(a: np.ndarray) -> bool:
     # entries overflow it; then the exact check decides.  One dot product
     # costs far less than ``np.isfinite`` on the whole array.
     return math.isfinite(np.vdot(a, a)) or bool(np.isfinite(a).all())
+
+
+def _integer_fields(config, *names: str) -> None:
+    """Refuse a named field of ``config`` that is not an integer (a bool is
+    not one), and store it as a Python int: a numpy integer is not JSON."""
+    for name in names:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+        setattr(config, name, int(value))
 
 
 @dataclass
@@ -71,11 +81,7 @@ class ModelConfig:
                 self.tail_rank = max(1, self.dim * 9 // 10)
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        for name in ("dim", "head_rank", "tail_rank", "negatives"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-            setattr(self, name, int(value))  # a numpy integer is not JSON
+        _integer_fields(self, "dim", "head_rank", "tail_rank", "negatives")
         if self.dim < 1:
             raise ConfigError("dim must be >= 1")
         if self.variant == "lowrank" and not (
@@ -116,15 +122,6 @@ class EmbeddingStore:
         out = np.zeros((vocab_size, dim), dtype=dtype)
         rel = rng.uniform(-scale, scale, size=(n_relations, dim)).astype(dtype)
         return cls(inp, out, rel)
-
-    def check_finite(self) -> None:
-        for name, arr in (
-            ("input_vectors", self.input_vectors),
-            ("output_vectors", self.output_vectors),
-            ("relation_vectors", self.relation_vectors),
-        ):
-            if not all_finite(arr):
-                raise NumericError(f"non-finite values in {name}")
 
 
 # ---------------------------------------------------------------------------
@@ -402,18 +399,6 @@ RELATION_TYPES: dict[str, type] = {
 def relation_array_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Shape of each array in one relation's view, in view order."""
     return RELATION_TYPES[config.variant].shapes(config)
-
-
-def relation_params_from_arrays(
-    config: ModelConfig,
-    n_relations: int,
-    array: Callable[[int, str], np.ndarray],
-) -> list[RelationParams]:
-    """The bundles ``init_relation_params`` would shape, with relation i's
-    arrays taken from ``array(i, name)``."""
-    kind = RELATION_TYPES[config.variant]
-    names = kind.shapes(config)
-    return [kind.from_arrays({n: array(i, n) for n in names}) for i in range(n_relations)]
 
 
 def init_relation_params(

@@ -53,7 +53,8 @@ class LowRankProjection:
         return (self.weights * (self.out_factors @ v)) @ self.in_factors
 
     def materialize(self) -> np.ndarray:
-        """Dense d x d matrix sum_i w_i p_i q_i^T (for tests and export only)."""
+        """Dense d x d matrix sum_i w_i p_i q_i^T; the relational analogy
+        builds its map stacks from it."""
         return (self.out_factors * self.weights[:, None]).T @ self.in_factors
 
 
@@ -68,28 +69,3 @@ def init_projection(d: int, m: int, rng: np.random.Generator) -> LowRankProjecti
     eye = np.eye(d)[np.sort(axes)]
     return LowRankProjection(np.ones(m), eye.copy(), eye.copy())
 
-
-def hyperplane_complement_basis(normal: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (rows) of the hyperplane orthogonal to ``normal``."""
-    d = len(normal)
-    u, _, _ = np.linalg.svd(normal.reshape(d, 1), full_matrices=True)
-    return u[:, 1:].T.copy()
-
-
-def transh_as_lowrank(
-    normal: np.ndarray, atol: float = 1e-10
-) -> tuple[LowRankProjection, LowRankProjection]:
-    """Express a TransH hyperplane projection as rank-(d-1) factor form.
-
-    Both returned projections (head side, tail side) materialize to
-    I - normal normal^T.  ``normal`` must have unit length within ``atol``.
-    """
-    normal = np.asarray(normal, dtype=np.float64)
-    norm = float(np.linalg.norm(normal))
-    if abs(norm - 1.0) > atol:
-        raise ValueError(f"normal must be unit length, got |w| = {norm!r}")
-    basis = hyperplane_complement_basis(normal)
-    m = len(basis)
-    left = LowRankProjection(np.ones(m), basis.copy(), basis.copy())
-    right = LowRankProjection(np.ones(m), basis.copy(), basis.copy())
-    return left, right

@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import math
 import mmap
-import numbers
 import os
 import struct
 import time
@@ -33,14 +32,15 @@ from .corpus import (
 from .errors import CheckpointError, ConfigError, EmptyCorpusError, NumericError
 from .kg import TripleSet, corrupt_triple
 from .model import (
+    RELATION_TYPES,
     EmbeddingStore,
     ModelConfig,
     RelationParams,
+    _integer_fields,
     all_finite,
     init_relation_params,
     knowledge_loss_grad,
     relation_array_shapes,
-    relation_params_from_arrays,
     skipgram_ns_loss_grad,
 )
 
@@ -77,11 +77,7 @@ class TrainConfig:
             raise ConfigError(f"alpha must be in [0, 1], got {self.alpha}")
         if not 0.0 < self.initial_lr < math.inf:
             raise ConfigError(f"initial_lr must be finite and > 0, got {self.initial_lr}")
-        for name in ("epochs", "window", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-            setattr(self, name, int(value))  # a numpy integer is not JSON
+        _integer_fields(self, "epochs", "window", "seed")
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
         if self.window < 1:
@@ -90,6 +86,9 @@ class TrainConfig:
             raise ConfigError("seed must be >= 0")
         if not 0.0 <= self.subsample < math.inf:
             raise ConfigError(f"subsample must be finite and >= 0, got {self.subsample}")
+        if not isinstance(self.use_float32, (bool, np.bool_)):
+            raise ConfigError(f"use_float32 must be a bool, got {self.use_float32!r}")
+        self.use_float32 = bool(self.use_float32)  # a numpy bool is not JSON
 
 
 @dataclass
@@ -187,7 +186,8 @@ def train(
     draws its objective coins at once, applies all of its text steps as one
     batched update taken at the block-start parameters, then its knowledge
     steps one by one.  A non-finite loss in a block raises ``NumericError``
-    naming the block's step range.
+    naming the block's step range; a NaN or inf left in the state at the end
+    of an epoch raises one naming the array as ``load_checkpoint`` would.
     """
     mc, tc = model_config, train_config
     use_text = tc.alpha < 1.0
@@ -287,8 +287,9 @@ def train(
                 kg_active,
             )
         )
-        store.check_finite()
-        _check_params_finite(state.params)
+        for name, parts in _state_arrays(state):
+            if error := _not_finite(name, parts):
+                raise NumericError(error)
 
     return state, report
 
@@ -333,7 +334,9 @@ def _kg_step(
         store.input_vectors[chr_] -= lr * g.corrupt_head
         store.input_vectors[ctr] -= lr * g.corrupt_tail
         store.relation_vectors[r] -= lr * g.relation
-        _apply_param_update(params, g.params, lr)
+        for array, grad in zip(params.arrays().values(), g.params):
+            array -= lr * grad
+        params.renormalize()
     return g.loss, g.active
 
 
@@ -377,27 +380,33 @@ def _scatter_subtract(table: np.ndarray, rows: np.ndarray, updates: np.ndarray) 
     np.subtract.at(table.reshape(-1), flat_rows, updates.reshape(-1))
 
 
-def _apply_param_update(
-    params: RelationParams, grads: tuple[np.ndarray, ...], lr: float
-) -> None:
-    """SGD step on every array of the relation's view, then its constraint."""
-    for array, grad in zip(params.arrays().values(), grads):
-        array -= lr * grad
-    params.renormalize()
-
-
-def _check_params_finite(params: list[RelationParams]) -> None:
-    for i, p in enumerate(params):
-        for name, a in p.arrays().items():
-            if not all_finite(a):
-                raise NumericError(
-                    f"non-finite relation parameters in relation {i} ({name})"
-                )
-
-
 # ---------------------------------------------------------------------------
 # Checkpoints
 # ---------------------------------------------------------------------------
+
+
+def _state_arrays(state: ModelState):
+    """Each checkpoint array of ``state`` in file order, under its checkpoint
+    name, with the arrays that hold its bytes: the array itself, or each
+    relation's part of a ``rel.<name>`` stack (None where a bundle's view
+    lacks the name)."""
+    store, views = state.store, [p.arrays() for p in state.params]
+    yield "input", [store.input_vectors]
+    yield "output", [store.output_vectors]
+    yield "relations", [store.relation_vectors]
+    for name in relation_array_shapes(state.model_config):
+        yield f"rel.{name}", [v.get(name) for v in views]
+
+
+def _not_finite(name: str, parts) -> str | None:
+    """What is wrong with checkpoint array ``name`` if one of its ``parts``
+    holds NaN or inf, naming the part's relation in a ``rel.`` stack; None
+    if all are finite.  A stack itself serves as its relations' parts."""
+    for i, part in enumerate(parts):
+        if not all_finite(part):
+            where = f" in relation {i}" if name.startswith("rel.") else ""
+            return f"array {name!r} holds NaN or inf{where}"
+    return None
 
 
 def _checkpoint_layout(
@@ -434,10 +443,7 @@ def save_checkpoint(state: ModelState, path: str | Path) -> None:
     layout = _checkpoint_layout(
         state.model_config, state.train_config, len(state.vocab), len(state.relation_names)
     )
-    store, views = state.store, [p.arrays() for p in state.params]
-    blocks = [[store.input_vectors], [store.output_vectors], [store.relation_vectors]]
-    # A stack's bytes are its relations' arrays, one after the other.
-    blocks += [[v.get(name.removeprefix("rel.")) for v in views] for name, _, _ in layout[3:]]
+    blocks = [parts for _, parts in _state_arrays(state)]
     for (name, shape, dtype), parts in zip(layout, blocks):
         want = [(shape[1:], dtype)] * shape[0] if name.startswith("rel.") else [(shape, dtype)]
         if [a if a is None else (a.shape, a.dtype) for a in parts] != want:
@@ -471,17 +477,11 @@ def save_checkpoint(state: ModelState, path: str | Path) -> None:
             fh.write(blob)
             for parts in blocks:
                 for a in parts:
-                    fh.write(_raw_bytes(np.ascontiguousarray(a)))
+                    fh.write(np.ascontiguousarray(a))
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-
-
-def _raw_bytes(a: np.ndarray) -> np.ndarray:
-    """A flat byte view of C-contiguous ``a``, for writing its buffer in
-    place; unlike ``memoryview(a).cast("B")`` it works at size 0."""
-    return a.reshape(-1).view(np.uint8)
 
 
 def _checked_section(path, what: str, section, keys) -> dict:
@@ -589,17 +589,13 @@ def load_checkpoint(path: str | Path) -> ModelState:
         offset += a.nbytes
         # This pass is the one that pages the array in.
         if not all_finite(a):
-            where = ""
-            if name.startswith("rel."):
-                i = next(i for i, part in enumerate(a) if not all_finite(part))
-                where = f" in relation {i}"
-            raise CheckpointError(
-                f"{path}: checkpoint array {name!r} holds NaN or inf{where}"
-            )
+            raise CheckpointError(f"{path}: checkpoint {_not_finite(name, a)}")
         arrays[name] = a
 
     store = EmbeddingStore(arrays["input"], arrays["output"], arrays["relations"])
-    params = relation_params_from_arrays(
-        model_config, len(relation_names), lambda i, name: arrays[f"rel.{name}"][i]
-    )
+    kind = RELATION_TYPES[model_config.variant]
+    params = [
+        kind.from_arrays({n: arrays[f"rel.{n}"][i] for n in kind.shapes(model_config)})
+        for i in range(len(relation_names))
+    ]
     return ModelState(model_config, train_config, vocab, relation_names, store, params)

@@ -5,8 +5,9 @@ indexed or binary form: the longest-match scan behind
 ``kgvec.corpus.merge_phrases``, the generator of skip-gram pairs behind
 ``kgvec.corpus.context_pair_arrays``, a reader for the word2vec text
 files ``kgvec.model.save_embeddings_text`` writes, the per-step form of the
-trainer's learning-rate schedule, the identity map in factor form, the
-relation-by-relation search behind
+trainer's learning-rate schedule, the identity map in factor form, a
+TransH hyperplane projection in rank-(d-1) factor form (the reduction of
+``transh`` to ``lowrank``), the relation-by-relation search behind
 ``kgvec.evaluation.RelationalAnalogy.best_relation``, the tie-by-tie walk
 over a sort behind ``kgvec.evaluation.fractional_ranks``, and the golden and
 corrupted triples' gradients taken one at a time, as differences of outer
@@ -110,6 +111,32 @@ def identity_projection(d: int) -> LowRankProjection:
     """Full-rank identity map in factor form."""
     eye = np.eye(d)
     return LowRankProjection(np.ones(d), eye.copy(), eye.copy())
+
+
+def hyperplane_complement_basis(normal: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (rows) of the hyperplane orthogonal to ``normal``."""
+    d = len(normal)
+    u, _, _ = np.linalg.svd(normal.reshape(d, 1), full_matrices=True)
+    return u[:, 1:].T.copy()
+
+
+def transh_as_lowrank(
+    normal: np.ndarray, atol: float = 1e-10
+) -> tuple[LowRankProjection, LowRankProjection]:
+    """Express a TransH hyperplane projection as rank-(d-1) factor form.
+
+    Both returned projections (head side, tail side) materialize to
+    I - normal normal^T.  ``normal`` must have unit length within ``atol``.
+    """
+    normal = np.asarray(normal, dtype=np.float64)
+    norm = float(np.linalg.norm(normal))
+    if abs(norm - 1.0) > atol:
+        raise ValueError(f"normal must be unit length, got |w| = {norm!r}")
+    basis = hyperplane_complement_basis(normal)
+    m = len(basis)
+    left = LowRankProjection(np.ones(m), basis.copy(), basis.copy())
+    right = LowRankProjection(np.ones(m), basis.copy(), basis.copy())
+    return left, right
 
 
 def best_relation_loop(state, a: str, b: str) -> tuple[int, list[float]]:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from gradcheck import FD_STEP, REL_TOL, central_difference, param_grad_pairs, random_relation_params
-from oracles import identity_projection
+from oracles import identity_projection, transh_as_lowrank
 from synthdata import many_to_one_fixture, relation_world, translation_fixture
 from test_kg import brute_force_stats, make_triple_set
 from test_eval import oracle_spearman
@@ -34,7 +34,7 @@ from kgvec.model import (
     score_triple,
     skipgram_ns_loss_grad,
 )
-from kgvec.projection import LowRankProjection, init_projection, transh_as_lowrank
+from kgvec.projection import LowRankProjection, init_projection
 from kgvec.trainer import ModelState, TrainConfig, train
 
 

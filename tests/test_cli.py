@@ -43,6 +43,7 @@ from kgvec.trainer import (
     save_checkpoint,
 )
 from oracles import identity_projection, load_embeddings_text
+from test_trainer import poison_after_last_step
 
 
 CORPUS = (
@@ -309,6 +310,18 @@ class TestTrain:
         assert match, err
         first, last = int(match[1]), int(match[2])
         assert first % BLOCK == 0 and first <= last < first + BLOCK
+
+    def test_non_finite_state_at_epoch_end_is_numeric_failure(
+        self, tmp_path, corpus_file, triples_file, capsys, monkeypatch
+    ):
+        poison_after_last_step(monkeypatch, "output", np.nan, 1)
+        rc = main(["train", "--corpus", corpus_file, "--triples", triples_file,
+                   "--min-count", "1", "--dim", "8", "--epochs", "2",
+                   "--checkpoint", str(tmp_path / "x.kgv")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err == "numeric error: array 'output' holds NaN or inf\n"
+        assert not (tmp_path / "x.kgv").exists()
 
     def test_diverging_run_reports_only_the_numeric_error(self, tmp_path, corpus_file,
                                                           triples_file, capsys):

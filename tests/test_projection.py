@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from kgvec.model import ModelConfig, score_triple, TransHRelation, LowRankRelation
-from kgvec.projection import LowRankProjection, init_projection, transh_as_lowrank
-from oracles import identity_projection
+from kgvec.projection import LowRankProjection, init_projection
+from oracles import identity_projection, transh_as_lowrank
 
 
 def random_projection(rng, m, d):

@@ -14,14 +14,14 @@ from kgvec.model import (
     VARIANTS,
     EmbeddingStore,
     ModelConfig,
-    init_relation_params,
+    all_finite,
+    relation_array_shapes,
     skipgram_ns_loss_grad,
 )
 from kgvec.trainer import (
     BLOCK,
     CHECKPOINT_MAGIC,
     TrainConfig,
-    _check_params_finite,
     _scatter_subtract,
     _sgd_text_block,
     init_state,
@@ -30,12 +30,52 @@ from kgvec.trainer import (
     train,
 )
 from oracles import lr_at
-from synthdata import translation_fixture
+from synthdata import relation_world, translation_fixture
 
 
 @pytest.fixture(scope="module")
 def world():
     return translation_fixture(seed=0, corpus_len=1500)
+
+
+@pytest.fixture(scope="module")
+def three_relations():
+    """A vocabulary and 12 triples over 3 relations."""
+    _, vocab, triples, _ = relation_world(seed=0, n_groups=4, n_filler=10, corpus_len=200)
+    return vocab, triples
+
+
+def poison_after_last_step(monkeypatch, name: str, value: float, relation: int) -> list:
+    """Make ``train`` set one entry of checkpoint array ``name`` to ``value``
+    once the first epoch's steps are done: entry 0 of relation ``relation``'s
+    part of a ``rel.`` stack, or of row ``relation`` of a table.  Returns the
+    list that receives the state ``train`` starts from."""
+    states = []
+    real_init, real_stats = kgvec.trainer.init_state, kgvec.trainer.EpochStats
+
+    def init_state(*args):
+        states.append(real_init(*args))
+        return states[-1]
+
+    def epoch_stats(*args):
+        # train takes an epoch's stats after its last step, before its check.
+        state = states[-1]
+        if name.startswith("rel."):
+            array = state.params[relation].arrays()[name.removeprefix("rel.")]
+        else:
+            store = state.store
+            tables = {
+                "input": store.input_vectors,
+                "output": store.output_vectors,
+                "relations": store.relation_vectors,
+            }
+            array = tables[name][relation]
+        array.flat[0] = value
+        return real_stats(*args)
+
+    monkeypatch.setattr(kgvec.trainer, "init_state", init_state)
+    monkeypatch.setattr(kgvec.trainer, "EpochStats", epoch_stats)
+    return states
 
 
 def small_model(variant="lowrank"):
@@ -111,6 +151,11 @@ class TestTrainConfig:
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigError, match="seed must be >= 0"):
             TrainConfig(seed=-1)
+
+    @pytest.mark.parametrize("bad", ["no", 0, 1.0, None], ids=repr)
+    def test_non_bool_float32_rejected(self, bad):
+        with pytest.raises(ConfigError, match="use_float32 must be a bool"):
+            TrainConfig(use_float32=bad)
 
 
 class TestDegenerateMixes:
@@ -441,6 +486,30 @@ class TestCheckpoint:
         assert all(a.dtype == np.float64 for a in want[3:])
         assert data[start + size :] == b"".join(a.tobytes() for a in want)
 
+    def test_numpy_bool_float32_saves_as_true(self, world, tmp_path):
+        _, vocab, _ = world
+        state = init_state(vocab, ["a"], small_model(), TrainConfig(use_float32=np.True_))
+        assert type(state.train_config.use_float32) is bool
+        path = tmp_path / "model.kgv"
+        save_checkpoint(state, path)
+        assert b'"use_float32": true' in path.read_bytes()
+        assert load_checkpoint(path).train_config.use_float32 is True
+
+    def test_non_bool_float32_in_header_is_a_checkpoint_error(self, world, tmp_path):
+        _, vocab, _ = world
+        path = tmp_path / "model.kgv"
+        save_checkpoint(init_state(vocab, ["a"], small_model(), TrainConfig()), path)
+        data = path.read_bytes()
+        # Same length, so the header's size field and the padding still hold.
+        bad = data.replace(b'"use_float32": false', b'"use_float32": "no" ')
+        assert bad != data
+        path.write_bytes(bad)
+        with pytest.raises(CheckpointError) as exc:
+            load_checkpoint(path)
+        assert str(exc.value) == (
+            f"{path}: checkpoint train rejected: use_float32 must be a bool, got 'no'"
+        )
+
     def test_non_finite_relation_is_named(self, world, tmp_path):
         _, vocab, _ = world
         state = init_state(vocab, ["a", "b", "c"], small_model(), TrainConfig())
@@ -593,21 +662,44 @@ class TestRelationUpdate:
 
 
 class TestFiniteCheck:
-    @pytest.mark.parametrize("variant", ["lowrank", "transh", "se", "transr"])
-    def test_names_the_relation_and_the_array(self, variant):
-        cfg = small_model(variant)
-        params = init_relation_params(cfg, 2, np.random.default_rng(0))
-        _check_params_finite(params)
-        name, array = list(params[1].arrays().items())[-1]
-        array.reshape(-1)[0] = np.nan
-        with pytest.raises(NumericError, match=re.escape(f"relation 1 ({name})")):
-            _check_params_finite(params)
+    """The end-of-epoch check names a non-finite array as load_checkpoint does."""
 
-    def test_lowrank_head_factor(self):
-        params = init_relation_params(small_model(), 1, np.random.default_rng(0))
-        params[0].head_proj.out_factors[0, 0] = np.inf
-        with pytest.raises(NumericError, match=re.escape("relation 0 (head.out)")):
-            _check_params_finite(params)
+    @staticmethod
+    def check(monkeypatch, tmp_path, three_relations, variant, name, value, relation=1):
+        vocab, triples = three_relations
+        with monkeypatch.context() as m:
+            states = poison_after_last_step(m, name, value, relation)
+            tc = TrainConfig(alpha=1.0, epochs=2, seed=2)
+            with pytest.raises(NumericError) as exc:
+                train(None, vocab, triples, small_model(variant), tc)
+        where = f" in relation {relation}" if name.startswith("rel.") else ""
+        assert str(exc.value) == f"array {name!r} holds NaN or inf{where}"
+        path = tmp_path / "poisoned.kgv"
+        save_checkpoint(states[0], path)
+        with pytest.raises(CheckpointError) as loaded:
+            load_checkpoint(path)
+        assert str(loaded.value) == f"{path}: checkpoint {exc.value}"
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_names_the_table(self, variant, monkeypatch, tmp_path, three_relations):
+        for name in ("input", "output", "relations"):
+            for value in (np.nan, np.inf):
+                self.check(monkeypatch, tmp_path, three_relations, variant, name, value)
+
+    @pytest.mark.parametrize("variant", ["lowrank", "transh", "se", "transr"])
+    def test_names_the_relation_and_the_array(
+        self, variant, monkeypatch, tmp_path, three_relations
+    ):
+        for name in relation_array_shapes(small_model(variant)):
+            for value in (np.nan, -np.inf):
+                self.check(
+                    monkeypatch, tmp_path, three_relations, variant, f"rel.{name}", value
+                )
+
+    def test_lowrank_head_factor(self, monkeypatch, tmp_path, three_relations):
+        self.check(
+            monkeypatch, tmp_path, three_relations, "lowrank", "rel.head.out", np.inf, 0
+        )
 
 
 class TestKnowledgeOnlySchedule:
@@ -626,5 +718,7 @@ class TestFloat32Mode:
         state, report = train(tokens, vocab, triples, small_model(), tc)
         assert state.store.input_vectors.dtype == np.float32
         assert state.store.output_vectors.dtype == np.float32
-        state.store.check_finite()
+        assert all_finite(state.store.input_vectors)
+        assert all_finite(state.store.output_vectors)
+        assert all_finite(state.store.relation_vectors)
         assert np.isfinite(report.rows[-1].combined_loss)

@@ -16,8 +16,9 @@ the first line that differs (exit status 1).  The digests are:
   shows), the SHA-256 of the loaded configs, vocabulary tokens and counts
   and relation names, and one SHA-256 per array of the loaded checkpoint
   under its checkpoint name: ``input``, ``output``, ``relations`` and ``rel.<name>`` for the
-  ``(R, *shape)`` stack of each relation array.  No digest reads the file's
-  bytes, so trees whose checkpoint formats differ still compare.
+  ``(R, *shape)`` stack of each relation array.  These digests read the
+  loaded state, not the file, so trees whose checkpoint formats differ
+  still compare on them.
 * **Config files.**  The same digests for a ``lowrank`` run whose
   ``--config`` file sets every train flag (with a vocabulary built by
   ``kgvec build-vocab`` and a one-phrase lexicon), then for the same run
@@ -33,6 +34,10 @@ the first line that differs (exit status 1).  The digests are:
   For each it prints the SHA-256 of the TSV, the SHA-256 of the float64
   tails-per-head and heads-per-tail arrays (the TSV rounds to 6 digits), and
   the TSV's row count.
+* **Checkpoint bytes.**  Last, the SHA-256 of each checkpoint file the runs
+  above wrote, in the order they wrote them.  A change of the file format
+  shows only on these lines; identical lines mean the save path wrote the
+  same bytes.
 
 Both trees get the inputs of this checkout's ``tests`` and ``perfbench``.
 The two subprocesses run at once; the whole comparison takes about 15 s on
@@ -118,8 +123,9 @@ def _named_arrays(state):
         yield f"rel.{name}", np.stack([p.arrays()[name] for p in state.params])
 
 
-def _print_run(run: str, report, ckpt: Path) -> None:
-    """The final loss and the digests of the checkpoint one run wrote."""
+def _print_run(run: str, report, ckpt: Path) -> str:
+    """Print the final loss and the digests of the checkpoint one run wrote;
+    return the line with the SHA-256 of the file's bytes."""
     from kgvec.trainer import load_checkpoint
 
     state = load_checkpoint(ckpt)
@@ -136,6 +142,7 @@ def _print_run(run: str, report, ckpt: Path) -> None:
         h = hashlib.sha256(f"{a.dtype.str} {a.shape}\n".encode())
         h.update(np.ascontiguousarray(a).tobytes())
         print(f"{run}\t{name} {h.hexdigest()}")
+    return f"{run}\tfile {hashlib.sha256(ckpt.read_bytes()).hexdigest()}"
 
 
 # (variant, alpha) of each checkpoint run: every knowledge variant, then text only.
@@ -145,8 +152,9 @@ CHECKPOINT_RUNS = [
 ]
 
 
-def _checkpoint_digests(root: Path) -> None:
+def _checkpoint_digests(root: Path) -> list[str]:
     corpus, tsv = _write_world(root)
+    files = []
     for variant, alpha in CHECKPOINT_RUNS:
         for float32 in ("false", "true"):
             ckpt = root / f"{variant}-{alpha}-{float32}.kgv"
@@ -160,10 +168,11 @@ def _checkpoint_digests(root: Path) -> None:
                 "--seed", "11", "--float32", float32,
             ])
             run = f"{variant}\talpha {alpha}\t{'float32' if float32 == 'true' else 'float64'}"
-            _print_run(run, report, ckpt)
+            files.append(_print_run(run, report, ckpt))
+    return files
 
 
-def _config_digests(root: Path) -> None:
+def _config_digests(root: Path) -> list[str]:
     import kgvec.cli
 
     corpus, tsv = _write_world(root)
@@ -184,11 +193,13 @@ def _config_digests(root: Path) -> None:
         "seed=7\nsubsample=0.001\nfloat32=no\n",
         encoding="utf-8",
     )
+    files = []
     for label, flags in (("every flag", []), ("--dim 12 over the file", ["--dim", "12"])):
         ckpt = root / "config.kgv"
         report = _train_cli(["train", "--config", str(config), *flags,
                              "--checkpoint", str(ckpt)])
-        _print_run(f"config\t{label}", report, ckpt)
+        files.append(_print_run(f"config\t{label}", report, ckpt))
+    return files
 
 
 def _analogy_digests(root: Path) -> None:
@@ -277,10 +288,11 @@ def digest() -> None:
     """Print every digest of the ``kgvec`` on the import path."""
     sys.path[:0] = [str(ROOT / "tests"), str(ROOT / "perfbench")]
     with tempfile.TemporaryDirectory() as tmp:
-        _checkpoint_digests(Path(tmp))
-        _config_digests(Path(tmp))
+        files = _checkpoint_digests(Path(tmp)) + _config_digests(Path(tmp))
         _analogy_digests(Path(tmp))
         _stats_digests(Path(tmp))
+    # Last, so that a change of the file format shows on these lines only.
+    print(*files, sep="\n")
 
 
 # ---------------------------------------------------------------------------
