@@ -46,14 +46,19 @@ def all_finite(a: np.ndarray) -> bool:
     return math.isfinite(np.vdot(a, a)) or bool(np.isfinite(a).all())
 
 
-def _integer_fields(config, *names: str) -> None:
-    """Refuse a named field of ``config`` that is not an integer (a bool is
-    not one), and store it as a Python int: a numpy integer is not JSON."""
+def _number_fields(config, kind: type, *names: str) -> None:
+    """Refuse a named field of ``config`` that is no ``kind`` (int or float; a
+    bool is neither), and store it as one: a numpy number is not JSON."""
+    abstract = numbers.Integral if kind is int else numbers.Real
     for name in names:
         value = getattr(config, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ConfigError(f"{name} must be an integer, got {value!r}")
-        setattr(config, name, int(value))
+        if isinstance(value, bool) or not isinstance(value, abstract):
+            what = "an integer" if kind is int else "a real number"
+            raise ConfigError(f"{name} must be {what}, got {value!r}")
+        try:
+            setattr(config, name, kind(value))
+        except OverflowError:  # float() of an int past the float range
+            raise ConfigError(f"{name} is past the float range") from None
 
 
 @dataclass
@@ -81,7 +86,8 @@ class ModelConfig:
                 self.tail_rank = max(1, self.dim * 9 // 10)
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        _integer_fields(self, "dim", "head_rank", "tail_rank", "negatives")
+        _number_fields(self, int, "dim", "head_rank", "tail_rank", "negatives")
+        _number_fields(self, float, "margin")
         if self.dim < 1:
             raise ConfigError("dim must be >= 1")
         if self.variant == "lowrank" and not (
@@ -132,8 +138,8 @@ class EmbeddingStore:
 # values of its arrays, its score, and the gradients of its hinge.  Each
 # bundle shows its arrays through one ordered view, ``arrays()``, keyed by the
 # names they carry in a checkpoint; ``from_arrays`` builds a bundle from such
-# a view.  Parameter gradients are tuples in view order, so the SGD update,
-# the finite check and checkpoint I/O are loops over the view.
+# a view, and a state's bundles view its stacks (``trainer.ModelState``).
+# Parameter gradients are tuples in view order, for the SGD update's loop.
 #
 # ``grads(head, tail, corrupt_head, corrupt_tail, relation)`` returns the
 # gradients of f(golden) - f(corrupted), where both triples share the
@@ -403,10 +409,14 @@ def relation_array_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
 
 def init_relation_params(
     config: ModelConfig, n_relations: int, rng: np.random.Generator
-) -> list[RelationParams]:
-    """One parameter bundle per relation, of the variant's class."""
+) -> dict[str, np.ndarray]:
+    """The variant's float64 ``(R, *shape)`` stacks, relation i's ``init`` at [i]."""
     kind = RELATION_TYPES[config.variant]
-    return [kind.init(config, rng) for _ in range(n_relations)]
+    stacks = {n: np.empty((n_relations, *s)) for n, s in kind.shapes(config).items()}
+    for i in range(n_relations):
+        for name, array in kind.init(config, rng).arrays().items():
+            stacks[name][i] = array
+    return stacks
 
 
 # ---------------------------------------------------------------------------

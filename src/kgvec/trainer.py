@@ -36,7 +36,7 @@ from .model import (
     EmbeddingStore,
     ModelConfig,
     RelationParams,
-    _integer_fields,
+    _number_fields,
     all_finite,
     init_relation_params,
     knowledge_loss_grad,
@@ -73,11 +73,12 @@ class TrainConfig:
     use_float32: bool = False
 
     def __post_init__(self) -> None:
+        _number_fields(self, float, "alpha", "initial_lr", "subsample")
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError(f"alpha must be in [0, 1], got {self.alpha}")
         if not 0.0 < self.initial_lr < math.inf:
             raise ConfigError(f"initial_lr must be finite and > 0, got {self.initial_lr}")
-        _integer_fields(self, "epochs", "window", "seed")
+        _number_fields(self, int, "epochs", "window", "seed")
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
         if self.window < 1:
@@ -134,14 +135,25 @@ class TrainReport:
 
 @dataclass
 class ModelState:
-    """Everything needed to resume, evaluate, or export a trained model."""
+    """Everything needed to resume, evaluate, or export a trained model.
+
+    ``relation_arrays`` holds the stacks of ``init_relation_params``;
+    ``params`` one bundle per relation, of views of their rows."""
 
     model_config: ModelConfig
     train_config: TrainConfig
     vocab: Vocabulary
     relation_names: list[str]
     store: EmbeddingStore
-    params: list[RelationParams]
+    relation_arrays: dict[str, np.ndarray]
+    params: list[RelationParams] = field(init=False)
+
+    def __post_init__(self) -> None:
+        kind = RELATION_TYPES[self.model_config.variant]
+        self.params = [
+            kind.from_arrays({n: a[i] for n, a in self.relation_arrays.items()})
+            for i in range(len(self.relation_names))
+        ]
 
 
 def init_state(
@@ -162,12 +174,13 @@ def init_state(
     store = EmbeddingStore.init(
         len(vocab), len(relation_names), model_config.dim, rng, dtype
     )
-    params = init_relation_params(model_config, len(relation_names), rng)
+    relation_arrays = init_relation_params(model_config, len(relation_names), rng)
     return ModelState(
-        model_config, train_config, vocab, list(relation_names), store, params
+        model_config, train_config, vocab, list(relation_names), store, relation_arrays
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # NaN and inf end in NumericError
 def train(
     tokens: Sequence[str] | None,
     vocab: Vocabulary,
@@ -287,9 +300,9 @@ def train(
                 kg_active,
             )
         )
-        for name, parts in _state_arrays(state):
-            if error := _not_finite(name, parts):
-                raise NumericError(error)
+        for name, a in _state_arrays(state):
+            if not all_finite(a):
+                raise NumericError(_not_finite(name, a))
 
     return state, report
 
@@ -386,27 +399,22 @@ def _scatter_subtract(table: np.ndarray, rows: np.ndarray, updates: np.ndarray) 
 
 
 def _state_arrays(state: ModelState):
-    """Each checkpoint array of ``state`` in file order, under its checkpoint
-    name, with the arrays that hold its bytes: the array itself, or each
-    relation's part of a ``rel.<name>`` stack (None where a bundle's view
-    lacks the name)."""
-    store, views = state.store, [p.arrays() for p in state.params]
-    yield "input", [store.input_vectors]
-    yield "output", [store.output_vectors]
-    yield "relations", [store.relation_vectors]
-    for name in relation_array_shapes(state.model_config):
-        yield f"rel.{name}", [v.get(name) for v in views]
+    """Each array of ``state`` under its checkpoint name: the three tables,
+    then the ``rel.<name>`` stacks, in the order of ``relation_arrays``."""
+    store = state.store
+    yield "input", store.input_vectors
+    yield "output", store.output_vectors
+    yield "relations", store.relation_vectors
+    for name, stack in state.relation_arrays.items():
+        yield f"rel.{name}", stack
 
 
-def _not_finite(name: str, parts) -> str | None:
-    """What is wrong with checkpoint array ``name`` if one of its ``parts``
-    holds NaN or inf, naming the part's relation in a ``rel.`` stack; None
-    if all are finite.  A stack itself serves as its relations' parts."""
-    for i, part in enumerate(parts):
-        if not all_finite(part):
-            where = f" in relation {i}" if name.startswith("rel.") else ""
-            return f"array {name!r} holds NaN or inf{where}"
-    return None
+def _not_finite(name: str, a: np.ndarray) -> str:
+    """What is wrong with checkpoint array ``name``, which holds NaN or inf;
+    for a ``rel.`` stack, the first relation that does is named."""
+    bad = ~np.isfinite(a.reshape(len(a), -1)).all(axis=1)
+    where = f" in relation {np.argmax(bad)}" if name.startswith("rel.") else ""
+    return f"array {name!r} holds NaN or inf{where}"
 
 
 def _checkpoint_layout(
@@ -434,19 +442,21 @@ def save_checkpoint(state: ModelState, path: str | Path) -> None:
     """Binary dump of the full model state; load_checkpoint restores it
     bitwise.
 
-    Raises ``ValueError``, before writing anything, if an array of the state
-    differs in shape or dtype from the layout that its configs, vocabulary
-    and relations imply.  The bytes go to a temporary file beside ``path``
+    Raises ``ValueError``, before writing anything, if the state's arrays
+    differ in name, shape or dtype from the layout that its configs,
+    vocabulary and relations imply.  The bytes go to a temporary file beside ``path``
     that ``os.replace`` then moves into place, so ``path`` holds the old or
     the new checkpoint, never a partial one.
     """
     layout = _checkpoint_layout(
         state.model_config, state.train_config, len(state.vocab), len(state.relation_names)
     )
-    blocks = [parts for _, parts in _state_arrays(state)]
-    for (name, shape, dtype), parts in zip(layout, blocks):
-        want = [(shape[1:], dtype)] * shape[0] if name.startswith("rel.") else [(shape, dtype)]
-        if [a if a is None else (a.shape, a.dtype) for a in parts] != want:
+    arrays = dict(_state_arrays(state))
+    if extra := sorted(arrays.keys() - {name for name, _, _ in layout}):
+        raise ValueError(f"state array {extra[0]!r} is not one that its configs imply")
+    for name, shape, dtype in layout:
+        a = arrays.get(name)
+        if a is None or (a.shape, a.dtype) != (shape, dtype):
             raise ValueError(
                 f"state array {name!r} is not of the shape {shape} and dtype "
                 f"{dtype} that its configs imply"
@@ -461,7 +471,7 @@ def save_checkpoint(state: ModelState, path: str | Path) -> None:
     # Trailing spaces keep the blob valid JSON and align the arrays, which
     # numpy would otherwise copy into aligned buffers before each matmul.
     blob += b" " * (-(len(CHECKPOINT_MAGIC) + 8 + len(blob)) % CHECKPOINT_ALIGN)
-    arrays_size = sum(a.nbytes for parts in blocks for a in parts)
+    arrays_size = sum(a.nbytes for a in arrays.values())
     size = len(CHECKPOINT_MAGIC) + 8 + len(blob) + arrays_size
     path = Path(path)
     tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
@@ -475,9 +485,8 @@ def save_checkpoint(state: ModelState, path: str | Path) -> None:
             fh.write(CHECKPOINT_MAGIC)
             fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(blob)))
             fh.write(blob)
-            for parts in blocks:
-                for a in parts:
-                    fh.write(np.ascontiguousarray(a))
+            for name, _, _ in layout:
+                fh.write(np.ascontiguousarray(arrays[name]))
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -590,12 +599,7 @@ def load_checkpoint(path: str | Path) -> ModelState:
         # This pass is the one that pages the array in.
         if not all_finite(a):
             raise CheckpointError(f"{path}: checkpoint {_not_finite(name, a)}")
-        arrays[name] = a
+        arrays[name.removeprefix("rel.")] = a
 
-    store = EmbeddingStore(arrays["input"], arrays["output"], arrays["relations"])
-    kind = RELATION_TYPES[model_config.variant]
-    params = [
-        kind.from_arrays({n: arrays[f"rel.{n}"][i] for n in kind.shapes(model_config)})
-        for i in range(len(relation_names))
-    ]
-    return ModelState(model_config, train_config, vocab, relation_names, store, params)
+    store = EmbeddingStore(arrays.pop("input"), arrays.pop("output"), arrays.pop("relations"))
+    return ModelState(model_config, train_config, vocab, relation_names, store, arrays)

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from kgvec.model import ModelConfig, init_relation_params
+from kgvec.model import RELATION_TYPES, ModelConfig
 
 FD_STEP = 1e-5
 REL_TOL = 1e-4
@@ -46,7 +46,7 @@ def random_relation_params(variant, d, rng):
         head_rank=max(1, d // 2),
         tail_rank=max(1, d - 1),
     )
-    params = init_relation_params(cfg, 1, rng)[0]
+    params = RELATION_TYPES[variant].init(cfg, rng)
     for array in params.arrays().values():
         array[:] = rng.standard_normal(array.shape)
     params.renormalize()

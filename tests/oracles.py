@@ -9,9 +9,10 @@ trainer's learning-rate schedule, the identity map in factor form, a
 TransH hyperplane projection in rank-(d-1) factor form (the reduction of
 ``transh`` to ``lowrank``), the relation-by-relation search behind
 ``kgvec.evaluation.RelationalAnalogy.best_relation``, the tie-by-tie walk
-over a sort behind ``kgvec.evaluation.fractional_ranks``, and the golden and
-corrupted triples' gradients taken one at a time, as differences of outer
-products, behind the stacked ``grads`` of ``LowRankRelation``,
+over a sort behind ``kgvec.evaluation.fractional_ranks``, the stacking of
+hand-built relation bundles into a state's ``(R, *shape)`` arrays, and the
+golden and corrupted triples' gradients taken one at a time, as differences
+of outer products, behind the stacked ``grads`` of ``LowRankRelation``,
 ``SERelation`` and ``TransRRelation``.
 """
 
@@ -137,6 +138,12 @@ def transh_as_lowrank(
     left = LowRankProjection(np.ones(m), basis.copy(), basis.copy())
     right = LowRankProjection(np.ones(m), basis.copy(), basis.copy())
     return left, right
+
+
+def relation_stacks(bundles) -> dict[str, np.ndarray]:
+    """The ``relation_arrays`` of a state whose relations hold ``bundles``:
+    each name of their ``arrays()`` view stacked, relation i at [i]."""
+    return {name: np.stack([b.arrays()[name] for b in bundles]) for name in bundles[0].arrays()}
 
 
 def best_relation_loop(state, a: str, b: str) -> tuple[int, list[float]]:

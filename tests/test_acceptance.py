@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from gradcheck import FD_STEP, REL_TOL, central_difference, param_grad_pairs, random_relation_params
-from oracles import identity_projection, transh_as_lowrank
+from oracles import identity_projection, relation_stacks, transh_as_lowrank
 from synthdata import many_to_one_fixture, relation_world, translation_fixture
 from test_kg import brute_force_stats, make_triple_set
 from test_eval import oracle_spearman
@@ -295,7 +295,7 @@ def test_criterion_4_fit_predicate_credits_heads_in_projection_kernel():
 
     def state_for(variant, params):
         mc = ModelConfig(variant=variant, dim=d, head_rank=4, tail_rank=d)
-        return ModelState(mc, TrainConfig(), vocab, ["rel"], store, [params])
+        return ModelState(mc, TrainConfig(), vocab, ["rel"], store, relation_stacks([params]))
 
     low_residual, low_dist, low_both = _many_to_one_outcome(
         state_for("lowrank", LowRankRelation(kept, identity_projection(d)))
@@ -383,7 +383,8 @@ def test_criterion_7_analogy_modes_match_exhaustive_enumeration():
         p.tail_proj.out_factors += 0.3 * rng.standard_normal(p.tail_proj.out_factors.shape)
 
     store = EmbeddingStore(vectors, np.zeros_like(vectors), rel_vectors)
-    state = ModelState(cfg, TrainConfig(), vocab, [f"r{i}" for i in range(n_rel)], store, params)
+    names = [f"r{i}" for i in range(n_rel)]
+    state = ModelState(cfg, TrainConfig(), vocab, names, store, relation_stacks(params))
     relational = RelationalAnalogy(state)
 
     ok = True
@@ -426,7 +427,7 @@ def test_criterion_7_analogy_modes_match_exhaustive_enumeration():
         fix_vocab,
         ["maps"],
         fix_store,
-        [LowRankRelation(identity_projection(2), identity_projection(2))],
+        relation_stacks([LowRankRelation(identity_projection(2), identity_projection(2))]),
     )
     from kgvec.evaluation import AnalogyQuestion
 

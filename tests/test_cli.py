@@ -42,7 +42,7 @@ from kgvec.trainer import (
     load_checkpoint,
     save_checkpoint,
 )
-from oracles import identity_projection, load_embeddings_text
+from oracles import identity_projection, load_embeddings_text, relation_stacks
 from test_trainer import poison_after_last_step
 
 
@@ -432,7 +432,7 @@ def perfect_analogy_state():
     store = EmbeddingStore(vectors, np.zeros_like(vectors), np.array([[0.0, 1.0]]))
     params = [LowRankRelation(identity_projection(d), identity_projection(d))]
     cfg = ModelConfig(variant="lowrank", dim=d, head_rank=d, tail_rank=d)
-    return ModelState(cfg, TrainConfig(), vocab, ["maps"], store, params)
+    return ModelState(cfg, TrainConfig(), vocab, ["maps"], store, relation_stacks(params))
 
 
 def shaped_state(variant, params, relation_rows=1):
@@ -444,7 +444,7 @@ def shaped_state(variant, params, relation_rows=1):
     vectors = np.random.default_rng(0).standard_normal((len(tokens), d))
     store = EmbeddingStore(vectors, np.zeros_like(vectors), np.zeros((relation_rows, d)))
     cfg = ModelConfig(variant=variant, dim=d, head_rank=2, tail_rank=2)
-    return ModelState(cfg, TrainConfig(), vocab, ["maps"], store, params)
+    return ModelState(cfg, TrainConfig(), vocab, ["maps"], store, relation_stacks(params))
 
 
 class TestEvalCommands:
@@ -577,6 +577,8 @@ class TestCheckpointHeaders:
             pytest.param(lambda h: h["model"].update(frobnicate=1), id="unknown-model-key"),
             pytest.param(lambda h: h["train"].pop("seed"), id="missing-train-key"),
             pytest.param(lambda h: h["train"].update(alpha=7.0), id="rejected-alpha"),
+            pytest.param(lambda h: h["train"].update(alpha=True), id="bool-alpha"),
+            pytest.param(lambda h: h["model"].update(margin=True), id="bool-margin"),
             pytest.param(lambda h: h["model"].update(dim="wide"), id="rejected-dim"),
             pytest.param(lambda h: h["model"].update(dim=2.0), id="float-dim"),
             pytest.param(lambda h: h["model"].update(head_rank=True), id="bool-head-rank"),

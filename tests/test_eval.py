@@ -25,12 +25,19 @@ from kgvec.model import (
     EmbeddingStore,
     LowRankRelation,
     ModelConfig,
+    TransERelation,
     TransHRelation,
+    init_relation_params,
     score_triple,
 )
 from kgvec.projection import LowRankProjection
 from kgvec.trainer import ModelState, TrainConfig
-from oracles import best_relation_loop, fractional_ranks_loop, identity_projection
+from oracles import (
+    best_relation_loop,
+    fractional_ranks_loop,
+    identity_projection,
+    relation_stacks,
+)
 from synthdata import relation_world
 
 
@@ -47,7 +54,9 @@ def make_state(vocab, vectors, relation_vectors, params, variant="lowrank"):
         np.asarray(relation_vectors, dtype=np.float64),
     )
     names = [f"r{i}" for i in range(len(relation_vectors))]
-    return ModelState(cfg, TrainConfig(), vocab, names, store, params)
+    # Without relations, the state holds size-zero stacks of the variant.
+    stacks = relation_stacks(params) if params else init_relation_params(cfg, 0, None)
+    return ModelState(cfg, TrainConfig(), vocab, names, store, stacks)
 
 
 class TestAnalogy3CosAdd:
@@ -321,7 +330,7 @@ class TestRelationalAnalogy:
     def test_fallback_to_3cosadd_for_plain_variants(self):
         vocab = make_vocab(["a", "b", "c", "d"])
         vectors = np.eye(4)
-        state = make_state(vocab, vectors, np.zeros((1, 4)), [None], "transe")
+        state = make_state(vocab, vectors, np.zeros((1, 4)), [TransERelation()], "transe")
         predictor = make_analogy_predictor(state, "relational")
         want = analogy_3cosadd("a", "b", "c", vocab, vectors)
         assert predictor("a", "b", "c") == want

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gradcheck import assert_grad_matches, param_grad_pairs, random_relation_params
-from kgvec.errors import NumericError
+from kgvec.errors import ConfigError, NumericError
 from kgvec.model import (
     RELATION_TYPES,
     VARIANTS,
@@ -58,6 +58,11 @@ class TestModelConfig:
     def test_size_below_one_rejected(self, field):
         with pytest.raises(ValueError, match=f"{field} must be >= 1"):
             ModelConfig(**{"dim": 4, "head_rank": 2, "tail_rank": 2, field: 0})
+
+    @pytest.mark.parametrize("bad", [True, "0.5", None], ids=repr)
+    def test_non_real_margin_rejected(self, bad):
+        with pytest.raises(ConfigError, match=f"margin must be a real number, got {bad!r}"):
+            ModelConfig(margin=bad)
 
     def test_numpy_integers_accepted(self):
         cfg = ModelConfig(dim=np.int64(4), head_rank=np.int32(2), tail_rank=2)
@@ -262,7 +267,7 @@ class TestStackedGradsMatchOuterProducts:
     def test_random_states(self, variant, d, rank, shared, dtype):
         rng = np.random.default_rng([d, rank, VARIANTS.index(variant)])
         cfg = ModelConfig(variant=variant, dim=d, head_rank=rank, tail_rank=rank)
-        params = init_relation_params(cfg, 1, rng)[0]
+        params = RELATION_TYPES[variant].init(cfg, rng)
         for array in params.arrays().values():
             array[:] = rng.standard_normal(array.shape)
         for _ in range(5):
@@ -406,19 +411,25 @@ class TestRelationArrays:
     def test_view_matches_declared_shapes(self, variant):
         cfg = ModelConfig(variant=variant, dim=6, head_rank=2, tail_rank=3)
         shapes = relation_array_shapes(cfg)
-        for p in init_relation_params(cfg, 2, np.random.default_rng(0)):
-            assert [(n, a.shape) for n, a in p.arrays().items()] == list(shapes.items())
+        stacks = init_relation_params(cfg, 2, np.random.default_rng(0))
+        assert [(n, a.shape, a.dtype) for n, a in stacks.items()] == [
+            (n, (2, *shape), np.float64) for n, shape in shapes.items()
+        ]
+        bundle = RELATION_TYPES[variant].init(cfg, np.random.default_rng(0))
+        assert [(n, a.shape) for n, a in bundle.arrays().items()] == list(shapes.items())
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_rebuilt_bundles_share_the_arrays(self, variant):
         cfg = ModelConfig(variant=variant, dim=6, head_rank=2, tail_rank=3)
-        params = init_relation_params(cfg, 3, np.random.default_rng(0))
+        stacks = init_relation_params(cfg, 3, np.random.default_rng(0))
         kind = RELATION_TYPES[variant]
-        rebuilt = [kind.from_arrays(p.arrays()) for p in params]
-        assert [type(p) for p in rebuilt] == [type(p) for p in params]
-        for p, q in zip(params, rebuilt):
-            for a, b in zip(p.arrays().values(), q.arrays().values()):
+        for i in range(3):
+            p = kind.from_arrays({n: a[i] for n, a in stacks.items()})
+            rebuilt = kind.from_arrays(p.arrays())
+            assert type(rebuilt) is kind
+            for (name, a), b in zip(p.arrays().items(), rebuilt.arrays().values()):
                 assert a is b
+                assert np.shares_memory(a, stacks[name][i])
 
     @pytest.mark.parametrize("variant", ["lowrank", "transe", "transh", "se", "transr"])
     def test_gradients_come_in_view_order(self, variant):
@@ -434,19 +445,27 @@ class TestInitRelationParams:
     def test_variant_structures(self):
         rng = np.random.default_rng(4)
         cfg = ModelConfig(variant="lowrank", dim=6, head_rank=2, tail_rank=3)
-        params = init_relation_params(cfg, 4, rng)
-        assert len(params) == 4
-        assert len(params[0].head_proj.weights) == 2
-        assert len(params[0].tail_proj.weights) == 3
+        stacks = init_relation_params(cfg, 4, rng)
+        assert stacks["head.weights"].shape == (4, 2)
+        assert stacks["tail.weights"].shape == (4, 3)
 
         transh = init_relation_params(ModelConfig(variant="transh", dim=6), 2, rng)
-        assert all(abs(np.linalg.norm(p.normal) - 1) < 1e-12 for p in transh)
+        assert np.allclose(np.linalg.norm(transh["normal"], axis=1), 1, rtol=0, atol=1e-12)
 
-        assert init_relation_params(ModelConfig(variant="transe", dim=6), 3, rng) == [
-            TransERelation(),
-            TransERelation(),
-            TransERelation(),
-        ]
+        assert init_relation_params(ModelConfig(variant="transe", dim=6), 3, rng) == {}
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_rows_are_the_bundle_draws_in_rng_order(self, variant):
+        cfg = ModelConfig(variant=variant, dim=7, head_rank=3, tail_rank=5)
+        stacks = init_relation_params(cfg, 4, np.random.default_rng(9))
+        rng = np.random.default_rng(9)
+        for i in range(4):
+            for name, a in RELATION_TYPES[variant].init(cfg, rng).arrays().items():
+                assert stacks[name][i].tobytes() == a.tobytes()
+        # Both generators end in the same place: no draw was added or skipped.
+        after = np.random.default_rng(9)
+        init_relation_params(cfg, 4, after)
+        assert after.random() == rng.random()
 
 
 class TestEmbeddingExport:

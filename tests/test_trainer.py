@@ -2,6 +2,7 @@ import json
 import re
 import struct
 import tracemalloc
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -156,6 +157,16 @@ class TestTrainConfig:
     def test_non_bool_float32_rejected(self, bad):
         with pytest.raises(ConfigError, match="use_float32 must be a bool"):
             TrainConfig(use_float32=bad)
+
+    @pytest.mark.parametrize("field", ["alpha", "initial_lr", "subsample"])
+    @pytest.mark.parametrize("bad", [True, "0.5", None], ids=repr)
+    def test_non_real_rate_rejected(self, field, bad):
+        with pytest.raises(ConfigError, match=f"{field} must be a real number, got {bad!r}"):
+            TrainConfig(**{field: bad})
+
+    def test_integer_past_the_float_range_rejected(self):
+        with pytest.raises(ConfigError, match="initial_lr is past the float range"):
+            TrainConfig(initial_lr=10**400)
 
 
 class TestDegenerateMixes:
@@ -468,6 +479,22 @@ class TestCheckpoint:
         for p1, p2 in zip(loaded.params, state.params, strict=True):
             assert all(same_bits(a, b) for a, b in zip(p1.arrays().values(), p2.arrays().values()))
 
+    def test_numpy_float_config_trains_saves_and_loads(self, world, tmp_path):
+        tokens, vocab, triples = world
+        mc = ModelConfig(dim=4, head_rank=2, tail_rank=2, margin=np.float32(1.5))
+        tc = TrainConfig(
+            alpha=np.float32(0.5), initial_lr=np.float32(0.025), subsample=np.float64(1e-3),
+            window=2,
+        )
+        assert all(type(v) is float for v in (mc.margin, tc.alpha, tc.initial_lr, tc.subsample))
+        assert tc.initial_lr == float(np.float32(0.025))
+        state, _ = train(tokens, vocab, triples, mc, tc)
+        path = tmp_path / "model.kgv"
+        save_checkpoint(state, path)
+        loaded = load_checkpoint(path)
+        assert loaded.model_config == mc and loaded.train_config == tc
+        assert all(map(same_bits, file_order_arrays(loaded), file_order_arrays(state)))
+
     def test_file_is_header_then_name_major_stacks(self, world, tmp_path):
         _, vocab, _ = world
         tc = TrainConfig(use_float32=True)
@@ -700,6 +727,120 @@ class TestFiniteCheck:
         self.check(
             monkeypatch, tmp_path, three_relations, "lowrank", "rel.head.out", np.inf, 0
         )
+
+
+class TestOverflow:
+    def test_raises_numeric_error_without_a_warning(self, world, monkeypatch):
+        tokens, vocab, triples = world
+        real_init = kgvec.trainer.init_state
+
+        def init_state(*args):
+            # Factors this large overflow the first knowledge step's score.
+            state = real_init(*args)
+            for p in state.params:
+                for array in p.arrays().values():
+                    array[...] = 1e200
+            return state
+
+        monkeypatch.setattr(kgvec.trainer, "init_state", init_state)
+        tc = TrainConfig(alpha=1.0, epochs=1, window=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match=r"non-finite triple score in steps 0\.\.255$"):
+                train(tokens, vocab, triples, small_model(), tc)
+
+
+class TestStackedState:
+    """Relation parameters live once, in ``relation_arrays``; every bundle
+    array is a view of its relation's row there."""
+
+    @staticmethod
+    def assert_bundles_are_views(state):
+        stacks = state.relation_arrays
+        assert list(stacks) == list(relation_array_shapes(state.model_config))
+        assert len(state.params) == len(state.relation_names)
+        for i, p in enumerate(state.params):
+            for name, a in p.arrays().items():
+                assert np.shares_memory(a, stacks[name][i])
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_fresh_trained_and_loaded_bundles_are_views(self, world, tmp_path, variant):
+        tokens, vocab, triples = world
+        mc, tc = small_model(variant), TrainConfig(alpha=0.5, epochs=1, seed=3, window=2)
+        self.assert_bundles_are_views(init_state(vocab, triples.relation_names, mc, tc))
+        state, _ = train(tokens, vocab, triples, mc, tc)
+        self.assert_bundles_are_views(state)
+        save_checkpoint(state, tmp_path / "model.kgv")
+        self.assert_bundles_are_views(load_checkpoint(tmp_path / "model.kgv"))
+
+    @pytest.mark.parametrize("variant", ["lowrank", "transh", "se", "transr"])
+    def test_a_write_through_a_bundle_lands_in_the_stack(self, world, variant):
+        _, vocab, _ = world
+        state = init_state(vocab, ["a", "b", "c"], small_model(variant), TrainConfig())
+        want = {name: stack.copy() for name, stack in state.relation_arrays.items()}
+        for name, a in state.params[1].arrays().items():
+            a.flat[0] = 42.0
+            want[name][1].flat[0] = 42.0
+        for name, stack in state.relation_arrays.items():
+            assert same_bits(stack, want[name])
+
+    def test_init_state_holds_each_relation_array_once(self):
+        vocab = Vocabulary([f"w{i}" for i in range(50)], np.ones(50, dtype=np.int64))
+        names = [f"r{i}" for i in range(24)]
+        mc = ModelConfig("lowrank", dim=64)
+        init_state(vocab, names[:1], mc, TrainConfig())  # first-call allocations
+        tracemalloc.start()
+        try:
+            state = init_state(vocab, names, mc, TrainConfig())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        stacks = sum(a.nbytes for a in state.relation_arrays.values())
+        store = sum(a.nbytes for a in file_order_arrays(state)[:3])
+        # On top of the stacks and tables: one relation's draw with its
+        # temporaries (1.7 relations' bytes at numpy 2.4) and the bundles.
+        assert peak < stacks + store + 3 * stacks / len(names)
+
+    def test_text_only_state_saves_and_loads_size_zero_stacks(self, world, tmp_path):
+        tokens, vocab, _ = world
+        tc = TrainConfig(alpha=0.0, epochs=1, window=2)
+        state, _ = train(tokens, vocab, None, small_model(), tc)
+        want = {name: (0, *shape) for name, shape in relation_array_shapes(small_model()).items()}
+        path = tmp_path / "model.kgv"
+        save_checkpoint(state, path)
+        loaded = load_checkpoint(path)
+        for s in (state, loaded):
+            assert {name: a.shape for name, a in s.relation_arrays.items()} == want
+            assert s.params == []
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda s: s.pop("head.in"), "state array 'rel.head.in' is not of the shape"),
+            (lambda s: s.update(extra=np.zeros((2, 3))), "state array 'rel.extra' is not one"),
+        ],
+        ids=["missing", "extra"],
+    )
+    def test_a_missing_or_extra_stack_is_refused_before_writing(
+        self, world, tmp_path, edit, message
+    ):
+        _, vocab, _ = world
+        state = init_state(vocab, ["a", "b"], small_model(), TrainConfig())
+        edit(state.relation_arrays)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            save_checkpoint(state, tmp_path / "model.kgv")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_non_finite_stack_names_its_first_bad_relation(self, world, tmp_path):
+        _, vocab, _ = world
+        state = init_state(vocab, ["a", "b", "c", "d"], small_model(), TrainConfig())
+        state.relation_arrays["tail.in"][3, 0, 0] = np.inf
+        state.relation_arrays["tail.in"][1, -1, -1] = np.nan
+        save_checkpoint(state, tmp_path / "model.kgv")
+        with pytest.raises(
+            CheckpointError, match=re.escape("array 'rel.tail.in' holds NaN or inf in relation 1")
+        ):
+            load_checkpoint(tmp_path / "model.kgv")
 
 
 class TestKnowledgeOnlySchedule:
