@@ -36,13 +36,14 @@ _TOKEN_PUNCT = string.punctuation.replace(PHRASE_SEP, "")
 def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
     """Yield ``(line number, line)`` for each non-blank line of a UTF-8 text
     file, its newline removed.  Line numbers count every line from 1, blank
-    ones included; ``\\n``, ``\\r\\n`` and ``\\r`` all end a line.
+    ones included; ``\\n``, ``\\r\\n`` and ``\\r`` all end a line.  One
+    byte-order mark at the start of the file is dropped; any other is text.
 
     Bytes that are not UTF-8 raise ParseError naming the line of the first
     bad byte.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, 1):
                 if not line.isspace():
                     yield lineno, line.rstrip("\n")

@@ -17,7 +17,7 @@ import numpy as np
 from .corpus import Vocabulary, normalize_token, read_lines
 from .errors import ConfigError, ParseError, UndefinedCorrelationError
 from .kg import TripleSet
-from .model import ModelConfig
+from .model import RELATION_TYPES, ModelConfig
 from .trainer import ModelState, TrainConfig, train
 
 _EPS = 1e-12
@@ -253,8 +253,9 @@ class RelationalAnalogy:
 
     A call takes one question's tokens or three equally long token
     sequences, like :func:`analogy_3cosadd`.  The dense head and tail maps
-    are stacked into two ``(R, d, d)`` arrays, so picking r* for a chunk of
-    distinct (a, b) pairs is one product per stack, memoised per pair.
+    are built from ``state.relation_arrays`` into two ``(R, d, d)`` arrays,
+    by tiles of relations, so picking r* for a chunk of distinct (a, b)
+    pairs reads each stack once, and is memoised per pair.
     Since ``|B w - t|^2 = |B w|^2 - 2 w . (B^T t) + |t|^2`` and ``|t|^2`` is
     the same for every candidate w, the questions of a block that share r*
     are ranked together by ``2 w . (B^T t) - |B w|^2``: one product
@@ -265,9 +266,8 @@ class RelationalAnalogy:
     scan, so answers may differ only where two relations' fits or two
     candidates' scores tie within rounding.  Every cache lives as long as
     the predictor: build a new one after the vectors change.
-    Only states whose relation bundles have dense head and tail maps
-    qualify; construct via :func:`make_analogy_predictor` to get the
-    fallback logic.
+    Only states of a variant with dense head and tail maps qualify;
+    construct via :func:`make_analogy_predictor` to get the fallback logic.
     """
 
     def __init__(self, state: ModelState):
@@ -278,10 +278,12 @@ class RelationalAnalogy:
         self.vocab = state.vocab
         self.vectors = state.store.input_vectors
         self.relation_vectors = state.store.relation_vectors
-        shape = (len(state.params), self.vectors.shape[1], self.vectors.shape[1])
-        self.head_maps, self.tail_maps = np.empty(shape), np.empty(shape)
-        for r, p in enumerate(state.params):
-            self.head_maps[r], self.tail_maps[r] = p.dense_maps()
+        n_rel, d = len(state.relation_names), self.vectors.shape[1]
+        self.head_maps, self.tail_maps = np.empty((n_rel, d, d)), np.empty((n_rel, d, d))
+        dense_maps, step = RELATION_TYPES[state.model_config.variant].dense_maps, _span(d * d)
+        for lo in range(0, n_rel, step):
+            tile = {name: stack[lo:lo + step] for name, stack in state.relation_arrays.items()}
+            dense_maps(tile, self.head_maps[lo:lo + step], self.tail_maps[lo:lo + step])
         self._tail_norms: dict[int, np.ndarray] = {}
         self._best: dict[tuple[str, str], int] = {}
 
@@ -296,18 +298,23 @@ class RelationalAnalogy:
         return self._tail_norms[r]
 
     def _search(self, pairs: Sequence[tuple[str, str]]) -> None:
-        """Memoise each (a, b) pair's best relation: for a chunk of pairs,
-        ``A a + r - B b`` over every relation is one product per stack."""
+        """Memoise each (a, b) pair's best relation.  A chunk of pairs reads
+        each map stack once, by tiles of relations that fill its ``(R, pairs)``
+        table of fits ``|A a + r - B b|^2``; ties go to the lowest relation."""
         n_rel, d, _ = self.head_maps.shape
-        step = _span(n_rel * d)
+        step = min(_span(d), _span(n_rel))
+        tile = _span(d * step)
         for lo in range(0, len(pairs), step):
             chunk = pairs[lo:lo + step]
             heads, tails = _rows(self.vocab, *zip(*chunk)).T
-            e = self.head_maps.reshape(-1, d) @ self.vectors[heads].T
-            e += self.relation_vectors.reshape(-1, 1)
-            e -= self.tail_maps.reshape(-1, d) @ self.vectors[tails].T
-            e = e.reshape(n_rel, d, -1)
-            fits = np.einsum("rdp,rdp->rp", e, e)
+            h, t = self.vectors[heads].T, self.vectors[tails].T
+            fits = np.empty((n_rel, len(chunk)))
+            for r in range(0, n_rel, tile):
+                e = self.head_maps[r:r + tile].reshape(-1, d) @ h
+                e += self.relation_vectors[r:r + tile].reshape(-1, 1)
+                e -= self.tail_maps[r:r + tile].reshape(-1, d) @ t
+                e = e.reshape(-1, d, len(chunk))
+                fits[r:r + tile] = np.einsum("rdp,rdp->rp", e, e)
             self._best.update(zip(chunk, fits.argmin(axis=0).tolist()))
 
     def best_relation(self, a: str, b: str) -> int:
@@ -347,9 +354,10 @@ class RelationalAnalogy:
 
 
 def _has_dense_maps(state: ModelState) -> bool:
-    """Whether the state's relation bundles score ||A h + r - B t||^2 through
-    dense maps A and B, which the two-step mode needs."""
-    return bool(state.params) and hasattr(state.params[0], "dense_maps")
+    """Whether the state has relations and its variant's dense maps A and B
+    score ||A h + r - B t||^2, which the two-step mode needs."""
+    kind = RELATION_TYPES[state.model_config.variant]
+    return bool(state.relation_names) and hasattr(kind, "dense_maps")
 
 
 def make_analogy_predictor(

@@ -242,9 +242,15 @@ class LowRankRelation(_RelationArrays):
             (d_lw, d_lout, d_lin, d_rw, d_rout, d_rin),
         )
 
-    def dense_maps(self) -> tuple[np.ndarray, np.ndarray]:
-        """The dense d x d head and tail maps L and R."""
-        return self.head_proj.materialize(), self.tail_proj.materialize()
+    @staticmethod
+    def dense_maps(arrays: Mapping[str, np.ndarray], head: np.ndarray, tail: np.ndarray) -> None:
+        """Write each relation's dense head and tail maps L and R, from the
+        ``(k, *shape)`` stacks ``arrays``, into ``(k, d, d)`` ``head`` and
+        ``tail``: bitwise ``LowRankProjection.materialize``, whose product
+        over a transposed view a contiguous copy would round differently."""
+        for side, maps in (("head", head), ("tail", tail)):
+            weights, out, inp = (arrays[f"{side}.{n}"] for n in ("weights", "out", "in"))
+            np.matmul((out * weights[:, :, None]).transpose(0, 2, 1), inp, out=maps)
 
 
 @dataclass
@@ -314,11 +320,14 @@ class TransHRelation(_RelationArrays):
             (d_w,),
         )
 
-    def dense_maps(self) -> tuple[np.ndarray, np.ndarray]:
-        """One hyperplane projector I - w w^T serves as both maps."""
-        w = self.normal
-        plane = np.eye(len(w)) - np.outer(w, w)
-        return plane, plane
+    @staticmethod
+    def dense_maps(arrays: Mapping[str, np.ndarray], head: np.ndarray, tail: np.ndarray) -> None:
+        """Write one hyperplane projector I - w w^T per relation in the
+        ``(k, d)`` stack of normals into both ``(k, d, d)`` stacks."""
+        normals = arrays["normal"]
+        np.multiply(normals[:, :, None], normals[:, None, :], out=head)
+        np.subtract(np.eye(normals.shape[1]), head, out=head)
+        tail[...] = head
 
 
 @dataclass

@@ -53,8 +53,8 @@ class LowRankProjection:
         return (self.weights * (self.out_factors @ v)) @ self.in_factors
 
     def materialize(self) -> np.ndarray:
-        """Dense d x d matrix sum_i w_i p_i q_i^T; the relational analogy
-        builds its map stacks from it."""
+        """Dense d x d matrix sum_i w_i p_i q_i^T; ``LowRankRelation.dense_maps``
+        takes the same product over stacks of factors."""
         return (self.out_factors * self.weights[:, None]).T @ self.in_factors
 
 

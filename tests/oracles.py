@@ -7,7 +7,8 @@ indexed or binary form: the longest-match scan behind
 files ``kgvec.model.save_embeddings_text`` writes, the per-step form of the
 trainer's learning-rate schedule, the identity map in factor form, a
 TransH hyperplane projection in rank-(d-1) factor form (the reduction of
-``transh`` to ``lowrank``), the relation-by-relation search behind
+``transh`` to ``lowrank``), each relation's dense maps built from its own
+bundle and the relation-by-relation search behind
 ``kgvec.evaluation.RelationalAnalogy.best_relation``, the tie-by-tie walk
 over a sort behind ``kgvec.evaluation.fractional_ranks``, the stacking of
 hand-built relation bundles into a state's ``(R, *shape)`` arrays, and the
@@ -146,14 +147,27 @@ def relation_stacks(bundles) -> dict[str, np.ndarray]:
     return {name: np.stack([b.arrays()[name] for b in bundles]) for name in bundles[0].arrays()}
 
 
+def direct_maps(state) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each relation's dense (head, tail) maps, built from its own bundle:
+    ``materialize`` of a ``lowrank`` projection, ``I - w w^T`` of a
+    ``transh`` normal."""
+    maps = []
+    for p in state.params:
+        if state.model_config.variant == "lowrank":
+            maps.append((p.head_proj.materialize(), p.tail_proj.materialize()))
+        else:
+            plane = np.eye(len(p.normal)) - np.outer(p.normal, p.normal)
+            maps.append((plane, plane))
+    return maps
+
+
 def best_relation_loop(state, a: str, b: str) -> tuple[int, list[float]]:
     """The relation whose dense maps best explain (a, b), one relation at a
     time, and every relation's fit ``||A a + r - B b||^2``."""
     index, vectors = state.vocab.index, state.store.input_vectors
     va, vb = vectors[index[a]], vectors[index[b]]
     fits = []
-    for p, rel in zip(state.params, state.store.relation_vectors):
-        head, tail = p.dense_maps()
+    for (head, tail), rel in zip(direct_maps(state), state.store.relation_vectors):
         e = head @ va + rel - tail @ vb
         fits.append(float(e @ e))
     return int(np.argmin(fits)), fits

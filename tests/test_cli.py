@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 import kgvec.cli
 import kgvec.evaluation
 from kgvec.cli import main
-from kgvec.corpus import Vocabulary, build_vocabulary, load_phrase_lexicon
+from kgvec.corpus import Vocabulary, build_vocabulary, load_phrase_lexicon, read_lines
 from kgvec.errors import CheckpointError, EmptyKGError, ParseError
 from kgvec.evaluation import (
     analogy_3cosadd,
@@ -1186,6 +1186,65 @@ class TestMalformedFiles:
                                "--alpha", "0", "--checkpoint", str(tmp_path / "m.kgv")])
         assert rc == 2
         assert f"{vocab}: line 3: token longer than 8 words" in err
+
+
+def vocabulary_of(path):
+    vocab = Vocabulary.load(path)
+    return vocab.tokens, vocab.counts.tolist()
+
+
+def triples_of(path):
+    triples = load_triples(path)
+    return triples.triples.tolist(), triples.entity_names, triples.relation_names
+
+
+BOM = "\ufeff"
+
+
+class TestByteOrderMark:
+    """A UTF-8 byte-order mark at the start of a file is not part of its
+    first line, in every input format; anywhere else it is text."""
+
+    @pytest.mark.parametrize(
+        "load, text",
+        [
+            (vocabulary_of, "#vocab 2\nking\t3\nqueen\t2\n"),
+            (lambda path: load_phrase_lexicon(path).entries, "new york\nold town\n"),
+            (triples_of, "paris\tcapital_of\tfrance\nlondon\tcapital_of\tengland\n"),
+            (load_analogy_questions, "paris france london england\n: more\na b c d\n"),
+            (load_similarity_pairs, "king\tqueen\t7.5\nman\twoman\t8\n"),
+            (lambda path: kgvec.cli._config_flags(path, frozenset({"dim", "seed"})),
+             "dim=8\nseed=3\n"),
+        ],
+        ids=["vocabulary", "lexicon", "triples", "questions", "similarity", "config"],
+    )
+    def test_reader_reads_the_same_after_a_leading_bom(self, tmp_path, load, text):
+        plain = load(write(tmp_path / "plain.txt", text))
+        assert load(write(tmp_path / "marked.txt", BOM + text)) == plain
+
+    def test_build_vocab_writes_the_same_bytes_after_a_leading_bom(self, tmp_path):
+        written = []
+        for name, text in (("plain", CORPUS), ("marked", BOM + CORPUS)):
+            out = tmp_path / f"{name}.tsv"
+            rc, err = run_quietly(["build-vocab", "--corpus", write(tmp_path / f"{name}.txt", text),
+                                   "--min-count", "1", "--output", str(out)])
+            assert rc == 0, err
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+
+    def test_a_bom_past_the_start_stays_text(self, tmp_path):
+        path = write(tmp_path / "c.txt", BOM + BOM + "the king\n" + BOM + "the queen\n")
+        assert list(read_lines(path)) == [(1, BOM + "the king"), (2, BOM + "the queen")]
+        out = tmp_path / "vocab.tsv"
+        assert run_quietly(["build-vocab", "--corpus", path, "--min-count", "1",
+                            "--output", str(out)])[0] == 0
+        assert sorted(Vocabulary.load(out).tokens) == ["king", "queen", BOM + "the"]
+
+    def test_bad_byte_after_a_bom_names_the_same_line(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(BOM.encode() + b"a\n\nb\n\xff\n")
+        with pytest.raises(ParseError, match=r"line 4: can't decode byte 0xff"):
+            list(read_lines(path))
 
 
 class TestUsage:

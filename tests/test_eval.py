@@ -25,8 +25,10 @@ from kgvec.model import (
     EmbeddingStore,
     LowRankRelation,
     ModelConfig,
+    SERelation,
     TransERelation,
     TransHRelation,
+    TransRRelation,
     init_relation_params,
     score_triple,
 )
@@ -34,6 +36,7 @@ from kgvec.projection import LowRankProjection
 from kgvec.trainer import ModelState, TrainConfig
 from oracles import (
     best_relation_loop,
+    direct_maps,
     fractional_ranks_loop,
     identity_projection,
     relation_stacks,
@@ -145,18 +148,6 @@ class TestAnalogy3CosAdd:
             predict = make_analogy_predictor(state, "3cosadd")
             assert predict("w0", "w1", "w2") == winner
             assert analogy_3cosadd("w0", "w1", "w2", vocab, vectors) == winner
-
-
-def direct_maps(state):
-    """Each relation's (head, tail) maps, built from its own parameters."""
-    maps = []
-    for p in state.params:
-        if state.model_config.variant == "lowrank":
-            maps.append((p.head_proj.materialize(), p.tail_proj.materialize()))
-        else:
-            plane = np.eye(len(p.normal)) - np.outer(p.normal, p.normal)
-            maps.append((plane, plane))
-    return maps
 
 
 def direct_relational_scan(state, a, b, c):
@@ -337,6 +328,25 @@ class TestRelationalAnalogy:
         with pytest.raises(ValueError, match="'transe' has no relational mode"):
             RelationalAnalogy(state)
 
+    @pytest.mark.parametrize(
+        "variant, params",
+        [
+            ("se", [SERelation(np.eye(4), np.eye(4))]),
+            ("transr", [TransRRelation(np.eye(4))]),
+            ("lowrank", []),
+        ],
+        ids=["se", "transr", "lowrank-no-relations"],
+    )
+    def test_fallback_to_3cosadd_without_dense_maps(self, variant, params):
+        vocab = make_vocab(["a", "b", "c", "d"])
+        vectors = np.eye(4)
+        state = make_state(vocab, vectors, np.zeros((len(params), 4)), params, variant)
+        predictor = make_analogy_predictor(state, "relational")
+        assert not isinstance(predictor, RelationalAnalogy)
+        assert predictor("a", "b", "c") == analogy_3cosadd("a", "b", "c", vocab, vectors)
+        with pytest.raises(ValueError, match=f"'{variant}' has no relational mode"):
+            RelationalAnalogy(state)
+
     def test_unknown_mode_rejected(self):
         vocab = make_vocab(["a", "b"])
         state = make_state(vocab, np.eye(2), np.zeros((0, 2)), [])
@@ -345,11 +355,12 @@ class TestRelationalAnalogy:
 
 
 def random_relational_state(rng, variant, n_words=60, n_rel=32, d=16):
-    """Random vectors and ``n_rel`` random relations of ``variant``: rank-4
-    head and rank-12 tail factor maps, or unit TransH normals."""
+    """Random vectors and ``n_rel`` random relations of ``variant``: head and
+    tail factor maps of rank 4 and 12 (at most d), or unit TransH normals."""
     words = [f"w{i:02d}" for i in range(n_words)]
     if variant == "lowrank":
         def projection(m):
+            m = min(m, d)
             return LowRankProjection(rng.standard_normal(m), rng.standard_normal((m, d)),
                                      rng.standard_normal((m, d)))
 
@@ -409,6 +420,84 @@ class TestBestRelation:
         after = [fresh.best_relation(a, b) for a, b in pairs]
         assert after == [best_relation_loop(state, a, b)[0] for a, b in pairs]
         assert after != before
+
+
+class TestRelationTiles:
+    """Maps built and relations searched by tiles of relations.  At
+    ``_BLOCK_BYTES`` 1024 and d=6, maps are built 3 relations at a time, and
+    pairs are searched in chunks of 9, 2 relations at a time; 14 relations
+    span 5 map tiles and 7 search tiles."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(kgvec.evaluation, "_BLOCK_BYTES", 1024)
+
+    @pytest.mark.parametrize("n_rel", [1, 14])
+    @pytest.mark.parametrize("variant", ["lowrank", "transh"])
+    def test_map_stacks_equal_each_relations_own_maps_bitwise(self, variant, n_rel):
+        assert -(-14 // kgvec.evaluation._span(6 * 6)) >= 3
+        state = random_relational_state(np.random.default_rng(61), variant, n_rel=n_rel, d=6)
+        predictor = RelationalAnalogy(state)
+        assert predictor.head_maps.shape == predictor.tail_maps.shape == (n_rel, 6, 6)
+        for r, (head, tail) in enumerate(direct_maps(state)):
+            assert np.array_equal(predictor.head_maps[r], head)
+            assert np.array_equal(predictor.tail_maps[r], tail)
+
+    @pytest.mark.parametrize("variant", ["lowrank", "transh"])
+    def test_picks_match_loop_oracle_up_to_ties(self, variant):
+        rng = np.random.default_rng(62)
+        state = random_relational_state(rng, variant, n_rel=14, d=6)
+        pairs = list(dict.fromkeys(random_pairs(rng, state.vocab.tokens, 60)))
+        assert len(pairs) > 2 * 9
+        predictor = RelationalAnalogy(state)
+        predictor._search(pairs)
+        for a, b in pairs:
+            want, fits = best_relation_loop(state, a, b)
+            got = predictor.best_relation(a, b)
+            assert got == want or fits[got] - fits[want] <= 1e-12 * fits[got]
+
+    def test_tie_across_relation_tiles_goes_to_the_lower_index(self):
+        """Relations 1 and 12 have the same maps and vector, which fit the
+        pair exactly; they sit in different map and search tiles."""
+        rng = np.random.default_rng(63)
+        d, n_rel = 6, 14
+        words = [f"w{i:02d}" for i in range(30)]
+        vectors = rng.integers(-3, 4, size=(30, d)).astype(np.float64)
+
+        def projection():
+            return LowRankProjection(rng.standard_normal(d), rng.standard_normal((d, d)),
+                                     rng.standard_normal((d, d)))
+
+        params = [LowRankRelation(projection(), projection()) for _ in range(n_rel)]
+        params[1] = params[12] = LowRankRelation(identity_projection(d), identity_projection(d))
+        relation_vectors = rng.standard_normal((n_rel, d))
+        relation_vectors[1] = relation_vectors[12] = vectors[1] - vectors[0]
+        state = make_state(make_vocab(words), vectors, relation_vectors, params)
+        pairs = [("w00", "w01")] + random_pairs(rng, words[2:], 20)
+        predictor = RelationalAnalogy(state)
+        predictor._search(pairs)
+        want, fits = best_relation_loop(state, "w00", "w01")
+        assert fits[1] == fits[12] == 0.0 and want == 1
+        assert predictor.best_relation("w00", "w01") == 1
+
+    def test_float32_state(self):
+        rng = np.random.default_rng(64)
+        state = random_relational_state(rng, "lowrank", n_rel=14, d=6)
+        store = state.store
+        state.store = EmbeddingStore(*(a.astype(np.float32) for a in (
+            store.input_vectors, store.output_vectors, store.relation_vectors)))
+        predictor = RelationalAnalogy(state)
+        assert predictor.head_maps.dtype == np.float64
+        questions = random_questions(rng, state.vocab.tokens, 40)
+        answers = predictor(*zip(*questions))
+        index = state.vocab.index
+        for (a, b, c), got in zip(questions, answers):
+            want, fits = best_relation_loop(state, a, b)
+            picked = predictor.best_relation(a, b)
+            assert picked == want or fits[picked] - fits[want] <= 1e-12 * fits[picked]
+            want, scores = direct_relational_scan(state, a, b, c)
+            best = scores[index[want]]
+            assert abs(scores[index[got]] - best) <= 1e-9 * max(1.0, best)
 
 
 class TestAnalogySuite:
@@ -503,8 +592,9 @@ class TestSuiteBlocks:
     @pytest.mark.parametrize("variant", ["lowrank", "transh"])
     def test_relational_blocks_match_one_by_one(self, small_blocks, variant):
         rng = np.random.default_rng(42)
-        # 4 relations at d=16: search chunks of 4 pairs; blocks of 16
-        # questions; row tiles of 16 rows or more over 90 candidates
+        # 4 relations at d=16: search chunks of 16 pairs, one relation at a
+        # time; blocks of 16 questions; row tiles of 16 rows or more over 90
+        # candidates
         state = random_relational_state(rng, variant, n_words=90, n_rel=4)
         questions = random_questions(rng, state.vocab.tokens, 150)
         questions += questions[:20]  # repeated pairs come from the memo

@@ -23,12 +23,16 @@ the first line that differs (exit status 1).  The digests are:
   ``--config`` file sets every train flag (with a vocabulary built by
   ``kgvec build-vocab`` and a one-phrase lexicon), then for the same run
   with ``--dim`` on the command line overriding the file's value.
-* **Analogy answers.**  Two ``lowrank`` states are trained at fixed seeds:
-  ``relation_world`` (d=32, 200 questions) and the 56-relation knowledge
-  graph ``kgworld`` from ``perfbench/worlds.py`` (d=100, 2 epochs as in the
+* **Analogy answers.**  Three states are trained at fixed seeds: a
+  ``lowrank`` and a ``transh`` one on ``relation_world`` (d=32, 200
+  questions), and a ``lowrank`` one on the 56-relation knowledge graph
+  ``kgworld`` from ``perfbench/worlds.py`` (d=100, 2 epochs as in the
   kg-variants-d100 benchmark).  For each state and mode it prints the
   SHA-256 of the answers, the accuracy, and the question and distinct
-  (a, b) pair counts.
+  (a, b) pair counts.  For the relational mode it also prints the SHA-256
+  of the relation picked for each question, in order, and of the bytes of
+  the predictor's ``head_maps`` and ``tail_maps``, so that a changed pick
+  or map shows even where the answers do not change.
 * **Mapping statistics.**  ``kgvec stats`` runs on the ``kgworld`` triples,
   once unfiltered and once with ``--vocab`` holding every other entity.
   For each it prints the SHA-256 of the TSV, the SHA-256 of the float64
@@ -219,12 +223,14 @@ def _analogy_digests(root: Path) -> None:
     tokens, vocab, triples, questions = relation_world(
         seed=5, corpus_len=8000, n_questions=200
     )
-    state, _ = train(
-        tokens, vocab, triples,
-        ModelConfig("lowrank", dim=32, head_rank=8, tail_rank=24),
-        TrainConfig(alpha=0.2, epochs=2, window=3, seed=5),
-    )
-    runs = [("relation_world", state, questions)]
+    runs = []
+    for variant in ("lowrank", "transh"):
+        state, _ = train(
+            tokens, vocab, triples,
+            ModelConfig(variant, dim=32, head_rank=8, tail_rank=24),
+            TrainConfig(alpha=0.2, epochs=2, window=3, seed=5),
+        )
+        runs.append((f"relation_world {variant}", state, questions))
 
     world = kgworld(root, seed=9)
     vocab = Vocabulary.load(world.files["vocab"])
@@ -238,13 +244,14 @@ def _analogy_digests(root: Path) -> None:
     for name, state, questions in runs:
         pairs = len({(q.a, q.b) for q in questions})
         for mode in ("relational", "3cosadd"):
-            answers = []
+            answers, asked = [], []
             predict = make_analogy_predictor(state, mode)
 
             def record(a, b, c):
                 # one question's tokens or, where the suite scores blocks, token lists
                 got = predict(a, b, c)
                 answers.extend([got] if isinstance(got, str) else got)
+                asked.extend([(a, b)] if isinstance(a, str) else zip(a, b))
                 return got
 
             report = run_analogy_suite(questions, record, state.vocab)
@@ -253,6 +260,12 @@ def _analogy_digests(root: Path) -> None:
                 f"{name}\t{mode}\tanswers {sha}\taccuracy {report.total_accuracy:.4f}"
                 f"\tquestions {len(answers)}\tdistinct (a, b) {pairs}"
             )
+            if mode == "relational":
+                picks = " ".join(str(predict.best_relation(a, b)) for a, b in asked)
+                print(f"{name}\t{mode}\tpicks {hashlib.sha256(picks.encode()).hexdigest()}")
+                for side in ("head_maps", "tail_maps"):
+                    maps = getattr(predict, side)
+                    print(f"{name}\t{mode}\t{side} {hashlib.sha256(maps.tobytes()).hexdigest()}")
 
 
 def _stats_digests(root: Path) -> None:
